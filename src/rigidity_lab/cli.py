@@ -6,7 +6,7 @@ Subcommands
 -----------
 generate   emit a PolyhedronDocument for a named generator
 analyze    validate -> decompose -> stiffness spectrum -> deformation space
-sweep      sample a generator over a parameter range (parallel workers)
+sweep      sample a generator over a parameter range
 export     write a standard OBJ triangle mesh
 decompose  direct access to the tetrahedralization search
 
@@ -61,6 +61,32 @@ SCHEMA = "rigidity-lab/1"
 # PolyhedronDocument
 # ---------------------------------------------------------------------------
 
+def _is_number(x) -> bool:
+    """True iff x is a JSON number that converts to a finite float."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
+def _check_coordinates(rows, key: str) -> None:
+    """Raise ParseError unless rows is an array of [x, y, z] finite numbers."""
+    if not (isinstance(rows, list)
+            and all(isinstance(r, list) and len(r) == 3
+                    and all(_is_number(x) for x in r) for r in rows)):
+        raise ParseError(f"{key} must be an array of [x, y, z] finite numbers")
+
+
+def _is_index_rows(rows, width: int) -> bool:
+    """True iff rows is an array of arrays of ``width`` integers."""
+    return isinstance(rows, list) and all(
+        isinstance(r, list) and len(r) == width
+        and all(isinstance(i, int) and not isinstance(i, bool) for i in r)
+        for r in rows)
+
+
 @dataclass
 class PolyhedronDocument:
     """Versioned serialization of a surface, optionally with a triangulation
@@ -101,26 +127,32 @@ class PolyhedronDocument:
                 raise ParseError(f"missing required key {key!r}")
         vertices = doc["vertices"]
         faces = doc["faces"]
-        if (not isinstance(vertices, list)
-                or any(len(v) != 3 for v in vertices)):
-            raise ParseError("vertices must be an array of [x, y, z]")
-        if not isinstance(faces, list) or any(len(f) != 3 for f in faces):
+        _check_coordinates(vertices, "vertices")
+        if not _is_index_rows(faces, 3):
             raise ParseError("faces must be an array of [i, j, k]")
         points = doc.get("points")
+        if points is not None:
+            _check_coordinates(points, "points")
         n_pts = len(points) if points is not None else len(vertices)
         for f in faces:
-            if any(not isinstance(i, int) or not 0 <= i < len(vertices)
-                   for i in f):
+            if any(not 0 <= i < len(vertices) for i in f):
                 raise ParseError(f"face index out of range: {f}")
         tets = doc.get("triangulation")
         if tets is not None:
+            if not _is_index_rows(tets, 4):
+                raise ParseError("triangulation must be an array of "
+                                 "[i, j, k, l]")
             for t in tets:
-                if len(t) != 4 or any(not isinstance(i, int)
-                                      or not 0 <= i < n_pts for i in t):
+                if any(not 0 <= i < n_pts for i in t):
                     raise ParseError(f"tetrahedron index out of range: {t}")
         labels = doc.get("labels")
         if labels is not None:
-            labels = {int(k): str(v) for k, v in labels.items()}
+            if not isinstance(labels, dict):
+                raise ParseError("labels must be an object")
+            try:
+                labels = {int(k): str(v) for k, v in labels.items()}
+            except ValueError as exc:
+                raise ParseError(f"label keys must be integers: {exc}") from exc
             if any(not 0 <= k < n_pts for k in labels):
                 raise ParseError("label index out of range")
         return cls(vertices=vertices, faces=faces, triangulation=tets,
@@ -434,7 +466,9 @@ def _worker_count() -> int:
         if n < 1:
             raise BadParams("RIGIDITY_LAB_THREADS must be >= 1")
         return n
-    return os.cpu_count() or 1
+    # Rows are pure-Python work that holds the interpreter lock, so more
+    # threads only contend for it: one is the fastest default.
+    return 1
 
 
 def sweep_row(name: str, param: str, value: float, args) -> dict:
@@ -571,8 +605,10 @@ def cmd_analyze(args) -> int:
     if round_sig is None and args.scheme == "forward":
         round_sig = 6
     scheme = FDScheme(SchemeKind(args.scheme), args.eps, round_sig=round_sig)
-    report = analyze_surface(doc.surface(), t=doc.as_triangulation(),
-                             scheme=scheme, tol_eig=args.tol_eig,
+    t = doc.as_triangulation()
+    # Share one surface, so its validity and extremality are computed once.
+    s = doc.surface() if t is None else t.surface
+    report = analyze_surface(s, t=t, scheme=scheme, tol_eig=args.tol_eig,
                              budget=args.budget)
     if args.json:
         _emit(json.dumps(report, sort_keys=True, separators=(",", ": "),

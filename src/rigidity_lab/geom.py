@@ -136,6 +136,7 @@ class PolyhedralSurface:
                 pass  # leave as given; surface_validate will report it
         self.faces = faces
         self._report: ValidityReport | None = None
+        self._extreme: dict[float, np.ndarray] = {}
 
     def _faces_indexable(self, faces) -> bool:
         n = len(self.vertices)
@@ -147,12 +148,18 @@ class PolyhedralSurface:
         es = {canonical_edge(f[k], f[(k + 1) % 3]) for f in self.faces for k in range(3)}
         return sorted(es)
 
-    def edge_length(self, e) -> float:
-        i, j = e
-        return float(np.linalg.norm(self.vertices[i] - self.vertices[j]))
+    def extreme_mask(self, tol: float = TOL_HULL) -> np.ndarray:
+        """``extreme_vertex_mask`` of the vertices, solved once per surface
+        and tolerance (n linear programs); the cached array is read-only."""
+        if tol not in self._extreme:
+            mask = extreme_vertex_mask(self.vertices, tol=tol)
+            mask.setflags(write=False)
+            self._extreme[tol] = mask
+        return self._extreme[tol]
 
-    def copy_with_vertices(self, vertices) -> "PolyhedralSurface":
-        return PolyhedralSurface(vertices, list(self.faces), orient=False)
+    def flat_mask(self, tol: float = TOL_HULL) -> np.ndarray:
+        """``flat_vertex_mask`` of the vertices, on the cached extreme mask."""
+        return hull_boundary_mask(self.vertices, tol=tol) & ~self.extreme_mask(tol)
 
     def validate(self) -> ValidityReport:
         if self._report is None:
@@ -243,15 +250,6 @@ def volume(s: PolyhedralSurface) -> float:
     return _signed_volume(s.vertices, s.faces)
 
 
-def oriented_normal_sum(s: PolyhedralSurface):
-    """Sum of oriented face normals; ~0 for any closed surface."""
-    v = s.vertices
-    total = np.zeros(3)
-    for a, b, c in s.faces:
-        total += 0.5 * np.cross(v[b] - v[a], v[c] - v[a])
-    return total
-
-
 def extreme_vertex_mask(points, tol: float = TOL_HULL):
     """True where a point is an extreme point of the convex hull of all points.
 
@@ -312,7 +310,7 @@ def is_weakly_convex(s: PolyhedralSurface, tol: float = TOL_HULL):
     definition for finite vertex sets).
     """
     s.require_valid()
-    mask = extreme_vertex_mask(s.vertices, tol=tol)
+    mask = s.extreme_mask(tol)
     return mask, bool(np.all(mask))
 
 

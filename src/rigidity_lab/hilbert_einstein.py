@@ -60,9 +60,20 @@ def _length_lookup(t: Triangulation, l: EdgeLengthAssignment):
     return table
 
 
+def _tet_values(tet, table) -> list[float]:
+    return [table[canonical_edge(tet[i - 1], tet[j - 1])] for i, j in EDGE_ORDER]
+
+
 def _tet_lengths(tet, table) -> TetraLengths:
-    vals = [table[canonical_edge(tet[i - 1], tet[j - 1])] for i, j in EDGE_ORDER]
-    return TetraLengths(*vals)
+    return TetraLengths(*_tet_values(tet, table))
+
+
+def _valid_lengths(vals) -> bool:
+    """True iff six lengths (EDGE_ORDER) form a non-degenerate tetrahedron."""
+    try:
+        return is_valid_tetra(TetraLengths.from_array(vals))
+    except Exception:
+        return False
 
 
 def in_domain(t: Triangulation, l: EdgeLengthAssignment) -> bool:
@@ -72,13 +83,8 @@ def in_domain(t: Triangulation, l: EdgeLengthAssignment) -> bool:
     if np.any(l.interior <= 0) or np.any(l.boundary <= 0):
         return False
     table = _length_lookup(t, l)
-    for tet in t.tetrahedra:
-        try:
-            if not is_valid_tetra(_tet_lengths(tet, table)):
-                return False
-        except Exception:
-            return False
-    return True
+    return all(_valid_lengths(_tet_values(tet, table))
+               for tet in t.tetrahedra)
 
 
 def _round_sig(x: float, sig: int) -> float:
@@ -86,6 +92,43 @@ def _round_sig(x: float, sig: int) -> float:
         return 0.0
     return float(np.format_float_positional(
         x, precision=sig, unique=False, fractional=False))
+
+
+def _angle_row(lengths: TetraLengths, round_sig: int | None = None) -> list[float]:
+    """The six dihedral angles of one tetrahedron in EDGE_ORDER, each
+    rounded to round_sig significant figures when given."""
+    row = [dihedral_angle(lengths, e) for e in EDGE_ORDER]
+    if round_sig is not None:
+        row = [_round_sig(ang, round_sig) for ang in row]
+    return row
+
+
+def _edge_slots(t: Triangulation):
+    """(interior, boundary): for each interior and each boundary edge, in
+    ``interior_edges`` / ``boundary_edges`` order, the (tetrahedron, slot)
+    pairs at which it occurs, in tetrahedron order; slot indexes EDGE_ORDER."""
+    interior_index = {e: k for k, e in enumerate(t.interior_edges)}
+    boundary_index = {e: k for k, e in enumerate(t.boundary_edges)}
+    interior = [[] for _ in interior_index]
+    boundary = [[] for _ in boundary_index]
+    for ti, tet in enumerate(t.tetrahedra):
+        for slot, (i, j) in enumerate(EDGE_ORDER):
+            e = canonical_edge(tet[i - 1], tet[j - 1])
+            if e in interior_index:
+                interior[interior_index[e]].append((ti, slot))
+            else:
+                boundary[boundary_index[e]].append((ti, slot))
+    return interior, boundary
+
+
+def _sum_angles(slots, rows) -> np.ndarray:
+    """Per edge, the sum of its tetrahedra's angle-row entries, added in
+    tetrahedron order so equal rows always give bitwise-equal sums."""
+    out = np.zeros(len(slots))
+    for k, inc in enumerate(slots):
+        for ti, slot in inc:
+            out[k] += rows[ti][slot]
+    return out
 
 
 def total_angles(t: Triangulation, l: EdgeLengthAssignment,
@@ -100,23 +143,61 @@ def total_angles(t: Triangulation, l: EdgeLengthAssignment,
     if not in_domain(t, l):
         raise OutOfDomain("length assignment leaves the admissible domain")
     table = _length_lookup(t, l)
-    interior_index = {e: k for k, e in enumerate(t.interior_edges)}
-    boundary_index = {e: k for k, e in enumerate(t.boundary_edges)}
-    omega = np.zeros(len(interior_index))
-    alpha = np.zeros(len(boundary_index))
-    for tet in t.tetrahedra:
-        lengths = _tet_lengths(tet, table)
-        for i, j in EDGE_ORDER:
-            e = canonical_edge(tet[i - 1], tet[j - 1])
-            if e in interior_index or e in boundary_index:
-                ang = dihedral_angle(lengths, (i, j))
-                if round_sig is not None:
-                    ang = _round_sig(ang, round_sig)
-                if e in interior_index:
-                    omega[interior_index[e]] += ang
-                else:
-                    alpha[boundary_index[e]] += ang
-    return AngleData(omega=omega, kappa=TWO_PI - omega, boundary_alpha=alpha)
+    rows = [_angle_row(_tet_lengths(tet, table), round_sig)
+            for tet in t.tetrahedra]
+    interior, boundary = _edge_slots(t)
+    omega = _sum_angles(interior, rows)
+    return AngleData(omega=omega, kappa=TWO_PI - omega,
+                     boundary_alpha=_sum_angles(boundary, rows))
+
+
+class OneEdgeAngles:
+    """Total angles around the interior edges at a base length assignment
+    and at assignments that change one interior length.
+
+    Changing interior edge j moves the dihedral angles of the tetrahedra
+    that contain j and of no other.  ``omega_with`` re-evaluates only
+    those, and re-sums only the total angles of their interior edges, in
+    the order ``total_angles`` uses, so it returns bitwise what
+    ``total_angles(...).omega`` returns for the changed assignment, and
+    raises OutOfDomain in the same cases.  The base must be in the domain.
+    """
+
+    def __init__(self, t: Triangulation, base: EdgeLengthAssignment,
+                 round_sig: int | None = None):
+        table = _length_lookup(t, base)
+        self._lengths = [np.array(_tet_values(tet, table))
+                         for tet in t.tetrahedra]
+        self._round_sig = round_sig
+        self._rows = [_angle_row(TetraLengths.from_array(ls), round_sig)
+                      for ls in self._lengths]
+        self._slots, _ = _edge_slots(t)
+        self.omega = _sum_angles(self._slots, self._rows)
+        tet_edges = [set() for _ in t.tetrahedra]
+        for k, inc in enumerate(self._slots):
+            for ti, _ in inc:
+                tet_edges[ti].add(k)
+        # Interior edges whose total angle a change of edge j moves.
+        self._moved = [sorted({k for ti, _ in inc for k in tet_edges[ti]})
+                       for inc in self._slots]
+
+    def omega_with(self, j: int, value: float) -> np.ndarray:
+        """Total angles with interior edge j set to ``value``."""
+        star = self._slots[j]
+        changed = []
+        for ti, slot in star:
+            ls = self._lengths[ti].copy()
+            ls[slot] = value
+            if not _valid_lengths(ls):
+                raise OutOfDomain("length assignment leaves the admissible domain")
+            changed.append(ls)
+        rows = list(self._rows)
+        for (ti, _), ls in zip(star, changed):
+            rows[ti] = _angle_row(TetraLengths.from_array(ls), self._round_sig)
+        omega = self.omega.copy()
+        moved = self._moved[j]
+        omega[moved] = _sum_angles([self._slots[k] for k in moved], rows)
+        return omega
 
 
 def curvatures(angles: AngleData) -> np.ndarray:

@@ -12,7 +12,6 @@ import numpy as np
 
 from . import hilbert_einstein as he
 from .errors import NotConvex, OutOfDomain
-from .geom import extreme_vertex_mask, flat_vertex_mask
 from .triangulation import Triangulation, VertexCensus
 
 TOL_EIG = 1e-4  # relative zero-classification tolerance for FD-derived matrices
@@ -85,7 +84,9 @@ def assemble_mt(t: Triangulation, scheme: FDScheme = DEFAULT_SCHEME) -> Stiffnes
     with respect to one interior edge length, at the Euclidean base point.
 
     In forward mode the base angles are exactly 2*pi (the Euclidean
-    shortcut); central mode differences two perturbed evaluations.
+    shortcut); central mode differences two perturbed evaluations.  Column
+    j re-evaluates only the tetrahedra on edge j (``OneEdgeAngles``); the
+    result is bitwise that of recomputing every total angle.
     """
     t.require_valid()
     base = he.euclidean_lengths(t)
@@ -94,16 +95,14 @@ def assemble_mt(t: Triangulation, scheme: FDScheme = DEFAULT_SCHEME) -> Stiffnes
     n = len(base.interior)
     m = np.zeros((n, n))
     eps = scheme.epsilon
+    if n:
+        angles = he.OneEdgeAngles(t, base, round_sig=scheme.round_sig)
     for j in range(n):
-        step = np.zeros(n)
-        step[j] = eps
-        omega_plus = he.total_angles(t, base.with_interior(base.interior + step),
-                                     round_sig=scheme.round_sig).omega
+        omega_plus = angles.omega_with(j, base.interior[j] + eps)
         if scheme.kind is SchemeKind.FORWARD:
             m[:, j] = (omega_plus - he.TWO_PI) / eps
         else:
-            omega_minus = he.total_angles(t, base.with_interior(base.interior - step),
-                                          round_sig=scheme.round_sig).omega
+            omega_minus = angles.omega_with(j, base.interior[j] - eps)
             m[:, j] = (omega_plus - omega_minus) / (2.0 * eps)
     norm = float(np.max(np.abs(m))) if n else 0.0
     rho = float(np.max(np.abs(m - m.T))) / max(1.0, norm) if n else 0.0
@@ -183,8 +182,8 @@ def rigidity_verdict(t: Triangulation, sp: Spectrum, census: VertexCensus) -> Ve
 def theorem1_check(t: Triangulation, sp: Spectrum, census: VertexCensus) -> bool:
     """For convex surfaces: kernel dimension must be 3m + k and the negative
     count must be m."""
-    verts = t.surface.vertices
-    convex_ok = np.all(extreme_vertex_mask(verts) | flat_vertex_mask(verts))
+    s = t.surface
+    convex_ok = np.all(s.extreme_mask() | s.flat_mask())
     if not convex_ok:
         raise NotConvex("surface has a vertex that is neither extreme nor flat")
     return sp.n_zero == 3 * census.m + census.k and sp.n_negative == census.m

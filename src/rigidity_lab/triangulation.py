@@ -168,30 +168,50 @@ def classify_point(s: PolyhedralSurface, p, tol: float = geom.TOL_GEOM) -> int:
 
 # -- tetra-tetra interior disjointness (separating axis test) -------------
 
-def tets_interior_disjoint(pa, pb, tol: float = geom.TOL_GEOM) -> bool:
-    pa = np.asarray(pa, dtype=float)
-    pb = np.asarray(pb, dtype=float)
-    scale = geom.coord_scale(np.vstack([pa, pb]))
-    axes = []
-    for pts in (pa, pb):
-        for omit in range(4):
-            tri = np.delete(pts, omit, axis=0)
-            axes.append(np.cross(tri[1] - tri[0], tri[2] - tri[0]))
-    ea = [pa[j] - pa[i] for i, j in _TET_EDGES]
-    eb = [pb[j] - pb[i] for i, j in _TET_EDGES]
-    for u in ea:
-        for w in eb:
-            axes.append(np.cross(u, w))
-    for ax in axes:
-        norm = np.linalg.norm(ax)
-        if norm <= tol * scale:
-            continue
-        ax = ax / norm
-        qa = pa @ ax
-        qb = pb @ ax
-        if qa.max() <= qb.min() + tol * scale or qb.max() <= qa.min() + tol * scale:
-            return True
-    return False
+# Vertex triples of the four faces; face k omits vertex k.
+_TET_FACES = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
+_EDGE_TAIL = [i for i, _ in _TET_EDGES]
+_EDGE_HEAD = [j for _, j in _TET_EDGES]
+
+
+def _face_normals(p):
+    """(..., 4, 3) tetrahedra -> (..., 4, 3) unnormalised face normals."""
+    tri = p[..., _TET_FACES, :]
+    return np.cross(tri[..., 1, :] - tri[..., 0, :], tri[..., 2, :] - tri[..., 0, :])
+
+
+def tets_interior_disjoint(pa, pb, tol: float = geom.TOL_GEOM):
+    """Separating-axis test: True where the two tetrahedra's interiors are
+    disjoint.
+
+    ``pa`` and ``pb`` are (4, 3) vertex arrays or stacks (..., 4, 3) that
+    broadcast against each other; the result is a bool for one pair and a
+    bool array of the broadcast stack shape otherwise.  The 44 candidate
+    axes of a pair are its 8 face normals and the 36 cross products of one
+    edge of each; an axis shorter than ``tol`` times the pair's coordinate
+    scale is skipped, and projections that overlap by no more than that
+    much count as separated, so tetrahedra sharing a face, an edge or a
+    vertex are disjoint.
+    """
+    pa, pb = np.broadcast_arrays(np.asarray(pa, dtype=float),
+                                 np.asarray(pb, dtype=float))
+    scale = np.maximum(1.0, np.max(np.abs(np.concatenate([pa, pb], axis=-2)),
+                                   axis=(-2, -1)))
+    ea = pa[..., _EDGE_HEAD, :] - pa[..., _EDGE_TAIL, :]
+    eb = pb[..., _EDGE_HEAD, :] - pb[..., _EDGE_TAIL, :]
+    cross = np.cross(ea[..., :, None, :], eb[..., None, :, :])
+    axes = np.concatenate([_face_normals(pa), _face_normals(pb),
+                           cross.reshape(cross.shape[:-3] + (36, 3))], axis=-2)
+    slack = (tol * scale)[..., None]
+    norm = np.linalg.norm(axes, axis=-1)
+    usable = norm > slack
+    axes = axes / np.where(usable, norm, 1.0)[..., None]
+    qa = pa @ np.swapaxes(axes, -1, -2)  # (..., 4 vertices, 44 axes)
+    qb = pb @ np.swapaxes(axes, -1, -2)
+    apart = ((qa.max(axis=-2) <= qb.min(axis=-2) + slack)
+             | (qb.max(axis=-2) <= qa.min(axis=-2) + slack))
+    disjoint = np.any(usable & apart, axis=-1)
+    return bool(disjoint) if disjoint.ndim == 0 else disjoint
 
 
 def _segment_crosses_triangle(p0, p1, a, b, c, tol) -> bool:
@@ -291,9 +311,14 @@ def tri_validate(t: Triangulation) -> ValidityReport:
         rep.add("volume-fill",
                 f"tetra volumes sum to {fill}, surface volume {vol_surface}")
 
-    for (i, ta), (j, tb) in combinations(enumerate(t.tetrahedra), 2):
-        if not tets_interior_disjoint(pts[list(ta)], pts[list(tb)]):
-            rep.add("overlap", f"tetrahedra {ta} and {tb} overlap", (i, j))
+    # One tetrahedron against all later ones at a time: the stacks stay
+    # O(T) while the pairs come out in combinations() order.
+    tet_pts = pts[np.array(t.tetrahedra, dtype=int).reshape(-1, 4)]
+    for i in range(len(t.tetrahedra) - 1):
+        disjoint = tets_interior_disjoint(tet_pts[i], tet_pts[i + 1:])
+        for j in i + 1 + np.flatnonzero(~disjoint):
+            ta, tb = t.tetrahedra[i], t.tetrahedra[j]
+            rep.add("overlap", f"tetrahedra {ta} and {tb} overlap", (i, int(j)))
 
     face_count: dict[frozenset, int] = {}
     for tet in t.tetrahedra:
@@ -313,7 +338,7 @@ def vertex_census(t: Triangulation) -> VertexCensus:
     n_surface = len(t.surface.vertices)
     used = {i for tet in t.tetrahedra for i in tet}
     m = len([i for i in used if i >= n_surface])
-    k = int(np.sum(geom.flat_vertex_mask(t.surface.vertices)))
+    k = int(np.sum(t.surface.flat_mask()))
     return VertexCensus(m=m, k=k)
 
 
@@ -344,6 +369,7 @@ def find_decomposition(s: PolyhedralSurface, budget: int = 200_000,
     candidates = [tet for tet in combinations(range(n), 4) if tet_admissible(s, tet)]
     n_candidates = len(candidates)
 
+    cand_pts = pts[np.array(candidates, dtype=int).reshape(-1, 4)]
     by_triangle: dict[tuple, list[int]] = {}
     outward_faces = []
     volumes = []
@@ -358,7 +384,7 @@ def find_decomposition(s: PolyhedralSurface, budget: int = 200_000,
     nodes = 0
     result: list[Triangulation] = []
 
-    def place(ci, front_set, chosen):
+    def place(ci, front_set):
         new_front = set(front_set)
         for f in outward_faces[ci]:
             if f in new_front:
@@ -383,12 +409,9 @@ def find_decomposition(s: PolyhedralSurface, budget: int = 200_000,
                 if ci not in chosen]
         opts.sort(key=lambda ci: -volumes[ci])
         for ci in opts:
-            ok = all(tets_interior_disjoint(pts[list(candidates[ci])],
-                                            pts[list(candidates[cj])])
-                     for cj in chosen)
-            if not ok:
+            if not np.all(tets_interior_disjoint(cand_pts[ci], cand_pts[chosen])):
                 continue
-            status = search(place(ci, front_set, chosen), chosen + [ci])
+            status = search(place(ci, front_set), chosen + [ci])
             if status in ("found", "budget"):
                 return status
         return None

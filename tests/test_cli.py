@@ -228,3 +228,45 @@ def test_document_rejects_unknown_schema():
             "vertices": [],
             "faces": [],
         }))
+
+
+_TETRA = {"schema": "rigidity-lab/1",
+          "vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]],
+          "faces": [[0, 2, 1], [0, 1, 3], [0, 3, 2], [1, 2, 3]]}
+
+
+@pytest.mark.parametrize("change", [
+    {"vertices": [["a", 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]},
+    {"vertices": [[float("nan"), 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]},
+    {"vertices": [[10**400, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]},
+    {"labels": {"x": "apex"}},
+    {"labels": {"1.5": "apex"}},
+    {"faces": [1, 2, 3]},
+    {"faces": [[0, 2, 1], [0, 1, 3], [0, 3, 2], [1, 2, True]]},
+    {"triangulation": [0, 1, 2, 3]},
+    {"points": [[0, 0]]},
+], ids=["string-coordinate", "nan-coordinate", "huge-coordinate",
+        "label-key", "fractional-label-key", "flat-faces", "boolean-index",
+        "flat-triangulation", "short-point"])
+def test_analyze_malformed_document_is_parse_error(tmp_path, capsys, change):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({**_TETRA, **change}))
+    rc, out, err = run(capsys, "analyze", str(path))
+    assert (rc, out) == (2, "")
+    assert err.startswith("ParseError: ")
+
+
+def test_well_formed_document_still_analyzes(tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({**_TETRA, "labels": {"3": "apex"}}))
+    rc, out, _ = run(capsys, "analyze", str(path))
+    assert rc == 0
+    assert "validity: ok" in out
+
+
+def test_sweep_defaults_to_one_thread(monkeypatch):
+    from rigidity_lab.cli import _worker_count
+    monkeypatch.delenv("RIGIDITY_LAB_THREADS", raising=False)
+    assert _worker_count() == 1
+    monkeypatch.setenv("RIGIDITY_LAB_THREADS", "3")
+    assert _worker_count() == 3
