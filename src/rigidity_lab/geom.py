@@ -158,7 +158,8 @@ class PolyhedralSurface:
         return self._extreme[tol]
 
     def flat_mask(self, tol: float = TOL_HULL) -> np.ndarray:
-        """``flat_vertex_mask`` of the vertices, on the cached extreme mask."""
+        """True where a vertex lies on the hull boundary without being
+        extreme; uses the cached extreme mask."""
         return hull_boundary_mask(self.vertices, tol=tol) & ~self.extreme_mask(tol)
 
     def validate(self) -> ValidityReport:
@@ -312,8 +313,3 @@ def is_weakly_convex(s: PolyhedralSurface, tol: float = TOL_HULL):
     s.require_valid()
     mask = s.extreme_mask(tol)
     return mask, bool(np.all(mask))
-
-
-def flat_vertex_mask(points, tol: float = TOL_HULL):
-    """True where a point lies on the hull boundary without being extreme."""
-    return hull_boundary_mask(points, tol=tol) & ~extreme_vertex_mask(points, tol=tol)

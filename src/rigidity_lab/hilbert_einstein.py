@@ -157,10 +157,10 @@ class OneEdgeAngles:
 
     Changing interior edge j moves the dihedral angles of the tetrahedra
     that contain j and of no other.  ``omega_with`` re-evaluates only
-    those, and re-sums only the total angles of their interior edges, in
-    the order ``total_angles`` uses, so it returns bitwise what
-    ``total_angles(...).omega`` returns for the changed assignment, and
-    raises OutOfDomain in the same cases.  The base must be in the domain.
+    those and sums the angle rows in the order ``total_angles`` uses, so it
+    returns bitwise what ``total_angles(...).omega`` returns for the changed
+    assignment, and raises OutOfDomain in the same cases.  The base must be
+    in the domain.
     """
 
     def __init__(self, t: Triangulation, base: EdgeLengthAssignment,
@@ -172,14 +172,6 @@ class OneEdgeAngles:
         self._rows = [_angle_row(TetraLengths.from_array(ls), round_sig)
                       for ls in self._lengths]
         self._slots, _ = _edge_slots(t)
-        self.omega = _sum_angles(self._slots, self._rows)
-        tet_edges = [set() for _ in t.tetrahedra]
-        for k, inc in enumerate(self._slots):
-            for ti, _ in inc:
-                tet_edges[ti].add(k)
-        # Interior edges whose total angle a change of edge j moves.
-        self._moved = [sorted({k for ti, _ in inc for k in tet_edges[ti]})
-                       for inc in self._slots]
 
     def omega_with(self, j: int, value: float) -> np.ndarray:
         """Total angles with interior edge j set to ``value``."""
@@ -194,10 +186,7 @@ class OneEdgeAngles:
         rows = list(self._rows)
         for (ti, _), ls in zip(star, changed):
             rows[ti] = _angle_row(TetraLengths.from_array(ls), self._round_sig)
-        omega = self.omega.copy()
-        moved = self._moved[j]
-        omega[moved] = _sum_angles([self._slots[k] for k in moved], rows)
-        return omega
+        return _sum_angles(self._slots, rows)
 
 
 def curvatures(angles: AngleData) -> np.ndarray:

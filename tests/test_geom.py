@@ -9,7 +9,6 @@ from rigidity_lab.geom import (
     PolyhedralSurface,
     canonical_edge,
     extreme_vertex_mask,
-    flat_vertex_mask,
     is_weakly_convex,
     orientation,
     surface_validate,
@@ -90,7 +89,7 @@ def test_weak_convexity_cube_with_flat_vertex():
     mask, overall = is_weakly_convex(s)
     assert not overall
     assert list(mask) == [True] * 8 + [False]
-    assert list(flat_vertex_mask(s.vertices)) == [False] * 8 + [True]
+    assert list(s.flat_mask()) == [False] * 8 + [True]
 
 
 def test_weak_convexity_schonhardt():
