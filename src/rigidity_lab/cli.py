@@ -1,6 +1,6 @@
-"""Command-line front end: polyhedron I/O, the analysis pipeline as
-subcommands, parameter sweeps, the conjecture-evidence harness, and mesh
-export.
+"""Command-line front end: it parses polyhedron documents, generator flags
+and arguments, hands the work to ``pipeline``, and renders the results as
+text, JSON or an OBJ mesh.
 
 Subcommands
 -----------
@@ -22,13 +22,12 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import generators as gen
-from .deformation import deformation_space, rigidity_matrix
+from . import pipeline
 from .errors import (
     BadParams,
     BadRange,
@@ -36,25 +35,18 @@ from .errors import (
     RigidityLabError,
     UnknownGenerator,
 )
-from .geom import PolyhedralSurface, is_weakly_convex
-from .stiffness import (
-    DEFAULT_SCHEME,
-    FDScheme,
-    SchemeKind,
-    TOL_EIG,
-    assemble_mt,
-    rigidity_verdict,
-    spectrum,
-)
-from .triangulation import (
-    BudgetExceeded,
-    NonDecomposable,
-    Triangulation,
-    find_decomposition,
-    vertex_census,
-)
+from .geom import PolyhedralSurface
+from .pipeline import analyze_surface
+from .stiffness import DEFAULT_SCHEME, FDScheme, SchemeKind, TOL_EIG
+from .triangulation import Triangulation
 
 SCHEMA = "rigidity-lab/1"
+
+
+def _json(obj) -> str:
+    """The one serialization of every JSON document the CLI writes."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ": "),
+                      indent=1) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -108,8 +100,7 @@ class PolyhedronDocument:
             doc["points"] = self.points
         if self.labels is not None:
             doc["labels"] = {str(k): v for k, v in sorted(self.labels.items())}
-        return json.dumps(doc, sort_keys=True, separators=(",", ": "),
-                          indent=1) + "\n"
+        return _json(doc)
 
     @classmethod
     def from_json(cls, text: str) -> "PolyhedronDocument":
@@ -256,131 +247,59 @@ GENERATORS = {
 }
 
 
+# The numeric generator flags, which are also the parameters sweep accepts:
+# name -> (default, help).
+NUMERIC_FLAGS = {
+    "theta": (None, "twist angle in radians"),
+    "r": (1.0, None),
+    "h": (2.0, None),
+    "depth": (None, "push depth for the pushed-pair generator"),
+    "shift": (0.0, "vertical shift of the T-polyhedron cavity"),
+    "hull-theta": (math.pi / 6.0, None),
+    "hull-r": (1.0, None),
+    "hull-h": (2.0, None),
+    "ext-theta": (math.pi / 6.0, None),
+    "ext-r": (2.5, None),
+    "ext-h": (4.0, None),
+}
+
+
 def _add_generator_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--theta", type=float, default=None,
-                   help="twist angle in radians")
+    for name, (default, help_text) in NUMERIC_FLAGS.items():
+        p.add_argument(f"--{name}", type=float, default=default,
+                       help=help_text)
     p.add_argument("--theta-pi-frac", default=None, metavar="NUM/DEN",
                    help="twist angle as a rational multiple of pi")
-    p.add_argument("--r", type=float, default=1.0)
-    p.add_argument("--h", type=float, default=2.0)
-    p.add_argument("--depth", type=float, default=None,
-                   help="push depth for the pushed-pair generator")
     p.add_argument("--member", choices=("convex", "pushed"), default="pushed",
                    help="which member of the pushed pair to emit")
-    p.add_argument("--shift", type=float, default=0.0,
-                   help="vertical shift of the T-polyhedron cavity")
-    p.add_argument("--hull-theta", type=float, default=math.pi / 6.0)
-    p.add_argument("--hull-r", type=float, default=1.0)
-    p.add_argument("--hull-h", type=float, default=2.0)
-    p.add_argument("--ext-theta", type=float, default=math.pi / 6.0)
-    p.add_argument("--ext-r", type=float, default=2.5)
-    p.add_argument("--ext-h", type=float, default=4.0)
+
+
+def _generator(name: str):
+    if name not in GENERATORS:
+        raise UnknownGenerator(
+            f"unknown generator {name!r}; known: {', '.join(sorted(GENERATORS))}")
+    return GENERATORS[name]
 
 
 def _make_document(args) -> PolyhedronDocument:
     name = args.name
-    if os.path.exists(name) or name == "-":
-        text = sys.stdin.read() if name == "-" else open(name).read()
-        return PolyhedronDocument.from_json(text)
-    if name not in GENERATORS:
-        raise UnknownGenerator(
-            f"unknown generator {name!r}; known: {', '.join(sorted(GENERATORS))}")
-    return GENERATORS[name](args)
+    # A generator id always means the generator, even if a file has its name.
+    if name != "-" and (name in GENERATORS or not os.path.exists(name)):
+        return _generator(name)(args)
+    try:
+        if name == "-":
+            text = sys.stdin.read()
+        else:
+            with open(name) as fh:
+                text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not valid text: {exc}") from exc
+    return PolyhedronDocument.from_json(text)
 
 
 # ---------------------------------------------------------------------------
 # analyze
 # ---------------------------------------------------------------------------
-
-def analyze_surface(s: PolyhedralSurface,
-                    t: Triangulation | None = None,
-                    scheme: FDScheme = DEFAULT_SCHEME,
-                    tol_eig: float = TOL_EIG,
-                    budget: int = 200000) -> dict:
-    """Run the full pipeline and return the AnalysisReport as a plain dict
-    (the machine-readable form; the human rendering is derived from it)."""
-    report: dict = {"schema": "rigidity-lab/analysis/1"}
-
-    validity = s.validate()
-    report["validity"] = {
-        "ok": bool(validity.ok),
-        "violations": [f"{v.tag}: {v.detail}" for v in validity.violations],
-    }
-    if not validity.ok:
-        return report
-
-    mask, overall = is_weakly_convex(s)
-    report["weakly_convex"] = {
-        "per_vertex": [bool(b) for b in mask],
-        "overall": bool(overall),
-    }
-
-    if t is None:
-        outcome = find_decomposition(s, budget=budget)
-    else:
-        outcome = t
-    if isinstance(outcome, NonDecomposable):
-        report["decomposition"] = {
-            "kind": "non-decomposable",
-            "admissible_candidates": outcome.admissible_candidates,
-            "nodes_explored": outcome.nodes_explored,
-        }
-        outcome = None
-    elif isinstance(outcome, BudgetExceeded):
-        report["decomposition"] = {
-            "kind": "budget-exceeded",
-            "nodes_explored": outcome.nodes_explored,
-        }
-        outcome = None
-    else:
-        report["decomposition"] = {
-            "kind": "triangulation",
-            "tetrahedra": [list(tet) for tet in outcome.tetrahedra],
-            "interior_edges": [list(e) for e in outcome.interior_edges],
-        }
-
-    stiff_verdict = None
-    if outcome is not None:
-        census = vertex_census(outcome)
-        report["census"] = {"m": census.m, "k": census.k}
-        mt = assemble_mt(outcome, scheme)
-        sp = spectrum(mt, tol_eig=tol_eig)
-        verdict = rigidity_verdict(outcome, sp, census)
-        stiff_verdict = verdict.kind.value
-        report["stiffness"] = {
-            "scheme": {"kind": scheme.kind.value, "epsilon": scheme.epsilon,
-                       "round_sig": scheme.round_sig},
-            "eigenvalues": [float(x) for x in sp.eigenvalues],
-            "n_negative": sp.n_negative,
-            "n_zero": sp.n_zero,
-            "n_positive": sp.n_positive,
-            "tol_eig": sp.tol_eig,
-            "verdict": stiff_verdict,
-        }
-
-    basis, dverdict = deformation_space(s)
-    report["deformation"] = {
-        "nullity": basis.nullity,
-        "trivial_dim": basis.trivial_dim,
-        "nontrivial_dim": basis.nullity - basis.trivial_dim,
-        "spectral_gap": (None if math.isinf(basis.spectral_gap)
-                         else float(basis.spectral_gap)),
-        "verdict": dverdict.kind.value,
-    }
-
-    # A Flexible spectral verdict is finite-difference evidence; without
-    # corroboration from the deformation oracle it is downgraded.
-    if stiff_verdict is not None:
-        agree = stiff_verdict == dverdict.kind.value
-        report["oracles_agree"] = bool(agree)
-        if stiff_verdict == "Flexible" and not agree:
-            report["stiffness"]["verdict"] = "Flexible (numerical)"
-        report["verdict"] = (dverdict.kind.value if agree
-                             else f"{dverdict.kind.value} (oracles disagree)")
-    else:
-        report["verdict"] = dverdict.kind.value
-    return report
-
 
 def _render_analysis(report: dict) -> str:
     lines = []
@@ -455,26 +374,9 @@ def _sweep_samples(lo: float, hi: float, step: float) -> list[float]:
     return [lo + i * step for i in range(n + 1)]
 
 
-def _worker_count() -> int:
-    env = os.environ.get("RIGIDITY_LAB_THREADS")
-    if env:
-        try:
-            n = int(env)
-        except ValueError as exc:
-            raise BadParams(
-                f"RIGIDITY_LAB_THREADS must be an integer; got {env!r}") from exc
-        if n < 1:
-            raise BadParams("RIGIDITY_LAB_THREADS must be >= 1")
-        return n
-    # Rows are pure-Python work that holds the interpreter lock, so more
-    # threads only contend for it: one is the fastest default.
-    return 1
-
-
 def sweep_row(name: str, param: str, value: float, args) -> dict:
-    """One sweep sample: build the surface, run both oracles, and return the
-    row dict.  The conjecture-evidence triple (weakly convex?, decomposable?,
-    flexible?) is included for every generator."""
+    """One sweep sample: build the document with ``param`` set to ``value``
+    and return the row dict; a generator error becomes the row's error."""
     ns = argparse.Namespace(**vars(args))
     setattr(ns, param.replace("-", "_"), value)
     ns.name = name
@@ -485,60 +387,36 @@ def sweep_row(name: str, param: str, value: float, args) -> dict:
     except RigidityLabError as exc:
         row["error"] = f"{type(exc).__name__}: {exc}"
         return row
-
-    mask, wc = is_weakly_convex(s)
-    row["weakly_convex"] = bool(wc)
-
-    outcome = doc.as_triangulation()
-    if outcome is None:
-        outcome = find_decomposition(s, budget=args.budget)
-    row["decomposable"] = isinstance(outcome, Triangulation)
-
-    basis, verdict = deformation_space(s)
-    r_matrix = np.linalg.svd(rigidity_matrix(s).matrix, compute_uv=False)
-    ncols = 3 * len(s.vertices)
-    # Smallest nontrivial singular value: the (3V-7)-th in decreasing order
-    # (six trivial motions always lie in the null space).
-    svals = np.concatenate([r_matrix, np.zeros(max(0, ncols - len(r_matrix)))])
-    row["smallest_nontrivial_sv"] = float(svals[ncols - 7])
-    row["nullity"] = basis.nullity
-    row["verdict"] = verdict.kind.value
-    row["flexible"] = verdict.kind.value == "Flexible"
+    row.update(pipeline.sweep_evidence(s, doc.as_triangulation(), args.budget))
     return row
 
 
-def cmd_sweep(args) -> int:
-    if args.name not in GENERATORS:
-        raise UnknownGenerator(
-            f"unknown generator {args.name!r}; "
-            f"known: {', '.join(sorted(GENERATORS))}")
+def cmd_sweep(args) -> str:
+    _generator(args.name)
+    if args.param.replace("_", "-") not in NUMERIC_FLAGS:
+        raise BadParams(f"cannot sweep {args.param!r}; sweepable parameters: "
+                        f"{', '.join(NUMERIC_FLAGS)}")
     lo, hi = _parse_range(args.range)
-    values = _sweep_samples(lo, hi, args.step)
-    with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
-        rows = list(pool.map(
-            lambda v: sweep_row(args.name, args.param, v, args), values))
-    rows.sort(key=lambda r: r["value"])
+    rows = [sweep_row(args.name, args.param, v, args)
+            for v in _sweep_samples(lo, hi, args.step)]
     out = {"schema": "rigidity-lab/sweep/1",
            "generator": args.name, "param": args.param,
            "range": [lo, hi], "step": args.step, "rows": rows}
     if args.json:
-        _emit(json.dumps(out, sort_keys=True, separators=(",", ": "),
-                         indent=1) + "\n", args.output)
-    else:
-        lines = [f"# sweep {args.name} {args.param} {lo}..{hi} step {args.step}",
-                 "# value sv_nontrivial nullity verdict "
-                 "weakly_convex decomposable flexible"]
-        for r in rows:
-            if "error" in r:
-                lines.append(f"{r['value']:.12g} ERROR {r['error']}")
-            else:
-                lines.append(
-                    f"{r['value']:.12g} {r['smallest_nontrivial_sv']:.6e} "
-                    f"{r['nullity']} {r['verdict']} "
-                    f"{int(r['weakly_convex'])} {int(r['decomposable'])} "
-                    f"{int(r['flexible'])}")
-        _emit("\n".join(lines) + "\n", args.output)
-    return 0
+        return _json(out)
+    lines = [f"# sweep {args.name} {args.param} {lo}..{hi} step {args.step}",
+             "# value sv_nontrivial nullity verdict "
+             "weakly_convex decomposable flexible"]
+    for r in rows:
+        if "error" in r:
+            lines.append(f"{r['value']:.12g} ERROR {r['error']}")
+        else:
+            lines.append(
+                f"{r['value']:.12g} {r['smallest_nontrivial_sv']:.6e} "
+                f"{r['nullity']} {r['verdict']} "
+                f"{int(r['weakly_convex'])} {int(r['decomposable'])} "
+                f"{int(r['flexible'])}")
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -578,28 +456,14 @@ def from_obj(text: str) -> PolyhedronDocument:
 
 
 # ---------------------------------------------------------------------------
-# command entry points
+# command entry points: each returns its rendered output, which main writes
 # ---------------------------------------------------------------------------
 
-def _emit(text: str, output: str | None) -> None:
-    if output:
-        with open(output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def cmd_generate(args) -> str:
+    return _generator(args.name)(args).to_json()
 
 
-def cmd_generate(args) -> int:
-    if args.name not in GENERATORS:
-        raise UnknownGenerator(
-            f"unknown generator {args.name!r}; "
-            f"known: {', '.join(sorted(GENERATORS))}")
-    doc = GENERATORS[args.name](args)
-    _emit(doc.to_json(), args.output)
-    return 0
-
-
-def cmd_analyze(args) -> int:
+def cmd_analyze(args) -> str:
     doc = _make_document(args)
     round_sig = args.round_sig
     if round_sig is None and args.scheme == "forward":
@@ -610,54 +474,32 @@ def cmd_analyze(args) -> int:
     s = doc.surface() if t is None else t.surface
     report = analyze_surface(s, t=t, scheme=scheme, tol_eig=args.tol_eig,
                              budget=args.budget)
-    if args.json:
-        _emit(json.dumps(report, sort_keys=True, separators=(",", ": "),
-                         indent=1) + "\n", args.output)
-    else:
-        _emit(_render_analysis(report), args.output)
-    return 0
+    return _json(report) if args.json else _render_analysis(report)
 
 
-def cmd_export(args) -> int:
+def cmd_export(args) -> str:
     if args.format != "obj":
         raise ParseError(f"unknown export format {args.format!r}")
-    doc = _make_document(args)
-    _emit(to_obj(doc), args.output)
-    return 0
+    return to_obj(_make_document(args))
 
 
-def cmd_decompose(args) -> int:
+def cmd_decompose(args) -> str:
     doc = _make_document(args)
-    outcome = find_decomposition(doc.surface(), budget=args.budget)
-    if isinstance(outcome, NonDecomposable):
-        result = {"kind": "non-decomposable",
-                  "admissible_candidates": outcome.admissible_candidates,
-                  "nodes_explored": outcome.nodes_explored}
-    elif isinstance(outcome, BudgetExceeded):
-        result = {"kind": "budget-exceeded",
-                  "nodes_explored": outcome.nodes_explored}
-    else:
-        result = {"kind": "triangulation",
-                  "tetrahedra": [list(t) for t in outcome.tetrahedra],
-                  "interior_edges": [list(e) for e in outcome.interior_edges]}
-    out = {"schema": "rigidity-lab/decompose/1", "result": result}
+    _, result = pipeline.decompose(doc.surface(), budget=args.budget)
     if args.json:
-        _emit(json.dumps(out, sort_keys=True, separators=(",", ": "),
-                         indent=1) + "\n", args.output)
+        return _json({"schema": "rigidity-lab/decompose/1", "result": result})
+    if result["kind"] == "triangulation":
+        lines = [f"decomposable: {len(result['tetrahedra'])} tetrahedra"]
+        lines += ["  tet {} {} {} {}".format(*t)
+                  for t in result["tetrahedra"]]
+    elif result["kind"] == "non-decomposable":
+        lines = [f"non-decomposable "
+                 f"({result['admissible_candidates']} admissible "
+                 f"candidates, {result['nodes_explored']} nodes explored)"]
     else:
-        if result["kind"] == "triangulation":
-            lines = [f"decomposable: {len(result['tetrahedra'])} tetrahedra"]
-            lines += ["  tet {} {} {} {}".format(*t)
-                      for t in result["tetrahedra"]]
-        elif result["kind"] == "non-decomposable":
-            lines = [f"non-decomposable "
-                     f"({result['admissible_candidates']} admissible "
-                     f"candidates, {result['nodes_explored']} nodes explored)"]
-        else:
-            lines = [f"budget exceeded after "
-                     f"{result['nodes_explored']} nodes"]
-        _emit("\n".join(lines) + "\n", args.output)
-    return 0
+        lines = [f"budget exceeded after "
+                 f"{result['nodes_explored']} nodes"]
+    return "\n".join(lines) + "\n"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -666,9 +508,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Infinitesimal rigidity of triangulated polyhedra.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("name",
-                       help="generator id or path to a polyhedron document")
+    def add_common(p, name_help="generator id, or path to a polyhedron "
+                                "document ('-': stdin); a generator id wins "
+                                "over a file of that name (use ./NAME)"):
+        p.add_argument("name", help=name_help)
         _add_generator_flags(p)
         p.add_argument("--budget", type=int, default=200000,
                        help="node budget for the decomposition search")
@@ -678,7 +521,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="emit machine-readable JSON")
 
     p = sub.add_parser("generate", help="emit a polyhedron document")
-    add_common(p)
+    add_common(p, name_help="generator id")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("analyze", help="run the full rigidity pipeline")
@@ -696,14 +539,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("sweep", help="sample a generator over a range")
-    p.add_argument("name", help="generator id")
-    p.add_argument("param", help="parameter to sweep (e.g. theta, shift, depth)")
+    add_common(p, name_help="generator id")
+    p.add_argument("param", help="numeric generator flag to sweep "
+                                 "(e.g. theta, shift, depth)")
     p.add_argument("range", help="START..END")
     p.add_argument("--step", type=float, required=True)
-    _add_generator_flags(p)
-    p.add_argument("--budget", type=int, default=200000)
-    p.add_argument("-o", "--output", default=None)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("export", help="export a triangle mesh")
@@ -721,7 +561,13 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        text = args.func(args)
+        if args.output:
+            with open(args.output, "w") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+        return 0
     except RigidityLabError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

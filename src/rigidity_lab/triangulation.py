@@ -289,7 +289,8 @@ def tri_validate(t: Triangulation) -> ValidityReport:
     npts = len(pts)
     scale = geom.coord_scale(pts)
 
-    if not np.allclose(pts[: len(t.surface.vertices)], t.surface.vertices):
+    n_surface = len(t.surface.vertices)
+    if npts < n_surface or not np.allclose(pts[:n_surface], t.surface.vertices):
         rep.add("points-mismatch", "points must extend the surface vertex array")
         return rep
 

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import os
@@ -191,25 +192,29 @@ def test_sweep_bad_range(capsys):
     assert "BadRange" in err
 
 
-def test_sweep_rows_ordered_and_thread_invariant(capsys, monkeypatch):
-    args = ("sweep", "schonhardt", "theta", "0.1..0.5", "--step", "0.1",
-            "--json")
-    monkeypatch.setenv("RIGIDITY_LAB_THREADS", "1")
-    _, serial, _ = run(capsys, *args)
-    monkeypatch.setenv("RIGIDITY_LAB_THREADS", "4")
-    _, parallel, _ = run(capsys, *args)
-    assert serial == parallel
-    rows = json.loads(serial)["rows"]
+def test_sweep_rows_ordered(capsys):
+    _, out, _ = run(capsys, "sweep", "schonhardt", "theta", "0.1..0.5",
+                    "--step", "0.1", "--json")
+    rows = json.loads(out)["rows"]
     values = [r["value"] for r in rows]
     assert values == sorted(values)
 
 
-def test_bad_thread_env(capsys, monkeypatch):
-    monkeypatch.setenv("RIGIDITY_LAB_THREADS", "zero")
-    rc, _, err = run(capsys, "sweep", "schonhardt", "theta", "0.1..0.2",
-                     "--step", "0.1")
-    assert rc != 0
-    assert "BadParams" in err
+@pytest.mark.parametrize("param", ["foo", "budget", "theta-pi-frac"])
+def test_sweep_unknown_param_is_bad_params(capsys, param):
+    rc, out, err = run(capsys, "sweep", "schonhardt", param, "0..1",
+                       "--step", "0.5")
+    assert (rc, out) == (2, "")
+    assert err.startswith("BadParams: ")
+    assert "theta, r, h, depth, shift" in err
+
+
+def test_sweep_param_accepts_underscores(capsys):
+    rc, out, _ = run(capsys, "sweep", "schonhardt", "hull_theta", "0.4..0.5",
+                     "--step", "1", "--json")
+    assert rc == 0
+    [row] = json.loads(out)["rows"]
+    assert row["param"] == "hull_theta" and "error" not in row
 
 
 def test_document_rejects_bad_indices():
@@ -264,9 +269,47 @@ def test_well_formed_document_still_analyzes(tmp_path, capsys):
     assert "validity: ok" in out
 
 
-def test_sweep_defaults_to_one_thread(monkeypatch):
-    from rigidity_lab.cli import _worker_count
-    monkeypatch.delenv("RIGIDITY_LAB_THREADS", raising=False)
-    assert _worker_count() == 1
-    monkeypatch.setenv("RIGIDITY_LAB_THREADS", "3")
-    assert _worker_count() == 3
+def test_undecodable_document_is_parse_error(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "bin.json"
+    path.write_bytes(bytes(range(128, 256)))
+    rc, out, err = run(capsys, "analyze", str(path))
+    assert (rc, out) == (2, "")
+    assert err.startswith("ParseError: ")
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(
+        io.BytesIO(bytes(range(128, 256))), encoding="utf-8"))
+    rc, out, err = run(capsys, "analyze", "-")
+    assert (rc, out) == (2, "")
+    assert err.startswith("ParseError: ")
+
+
+def test_short_points_is_invalid_triangulation(tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({**_TETRA,
+                                "points": [[0, 0, 0], [1, 0, 0], [0, 1, 0]],
+                                "triangulation": [[0, 1, 2, 0]]}))
+    rc, out, err = run(capsys, "analyze", str(path))
+    assert (rc, out) == (2, "")
+    assert err.startswith("InvalidTriangulation: ")
+    assert "points-mismatch" in err
+
+
+def test_generator_name_beats_file_of_that_name(tmp_path, capsys, monkeypatch):
+    _, generated, _ = run(capsys, "analyze", "octahedron", "--json")
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "octahedron").write_text(json.dumps(_TETRA))
+    rc, out, _ = run(capsys, "analyze", "octahedron", "--json")
+    assert rc == 0 and out == generated
+    rc, out, _ = run(capsys, "analyze", "./octahedron", "--json")
+    assert rc == 0
+    assert len(json.loads(out)["weakly_convex"]["per_vertex"]) == 4
+
+
+@pytest.mark.parametrize("argv", [
+    ("schonhardt", "--theta-pi-frac", "1/6"),
+    ("t-poly", "--shift", "0.3"),
+], ids=["schonhardt", "t-poly"])
+def test_decompose_result_is_analyze_decomposition(capsys, argv):
+    _, analyzed, _ = run(capsys, "analyze", *argv, "--json")
+    _, decomposed, _ = run(capsys, "decompose", *argv, "--json")
+    assert (json.loads(decomposed)["result"]
+            == json.loads(analyzed)["decomposition"])
