@@ -247,8 +247,7 @@ GENERATORS = {
 }
 
 
-# The numeric generator flags, which are also the parameters sweep accepts:
-# name -> (default, help).
+# The numeric generator flags: name -> (default, help).
 NUMERIC_FLAGS = {
     "theta": (None, "twist angle in radians"),
     "r": (1.0, None),
@@ -261,6 +260,16 @@ NUMERIC_FLAGS = {
     "ext-theta": (math.pi / 6.0, None),
     "ext-r": (2.5, None),
     "ext-h": (4.0, None),
+}
+
+
+# The numeric flags each generator reads, which are the parameters sweep
+# accepts for it; the fixed generators read none.
+SWEEPABLE = {
+    "schonhardt": ("theta", "r", "h"),
+    "pushed-pair": ("depth",),
+    "t-poly": ("shift", "hull-theta", "hull-r", "hull-h",
+               "ext-theta", "ext-r", "ext-h"),
 }
 
 
@@ -393,9 +402,14 @@ def sweep_row(name: str, param: str, value: float, args) -> dict:
 
 def cmd_sweep(args) -> str:
     _generator(args.name)
-    if args.param.replace("_", "-") not in NUMERIC_FLAGS:
-        raise BadParams(f"cannot sweep {args.param!r}; sweepable parameters: "
-                        f"{', '.join(NUMERIC_FLAGS)}")
+    param = args.param.replace("_", "-")
+    own = SWEEPABLE.get(args.name, ())
+    if param not in own:
+        raise BadParams(f"cannot sweep {args.param!r} of {args.name}; "
+                        f"sweepable parameters: {', '.join(own) or 'none'}")
+    if param == "theta" and args.theta_pi_frac is not None:
+        raise BadParams("cannot sweep theta with --theta-pi-frac, which "
+                        "fixes it")
     lo, hi = _parse_range(args.range)
     rows = [sweep_row(args.name, args.param, v, args)
             for v in _sweep_samples(lo, hi, args.step)]

@@ -108,62 +108,68 @@ def _canon_oriented(tri):
 
 # -- point / surface classification ---------------------------------------
 
-def _point_triangle_distance(p, a, b, c) -> float:
-    ab, ac, ap = b - a, c - a, p - a
-    d1, d2 = np.dot(ab, ap), np.dot(ac, ap)
-    if d1 <= 0 and d2 <= 0:
-        return float(np.linalg.norm(ap))
-    bp = p - b
-    d3, d4 = np.dot(ab, bp), np.dot(ac, bp)
-    if d3 >= 0 and d4 <= d3:
-        return float(np.linalg.norm(bp))
-    vc = d1 * d4 - d3 * d2
-    if vc <= 0 and d1 >= 0 and d3 <= 0:
-        t = d1 / (d1 - d3)
-        return float(np.linalg.norm(ap - t * ab))
-    cp = p - c
-    d5, d6 = np.dot(ab, cp), np.dot(ac, cp)
-    if d6 >= 0 and d5 <= d6:
-        return float(np.linalg.norm(cp))
-    vb = d5 * d2 - d1 * d6
-    if vb <= 0 and d2 >= 0 and d6 <= 0:
-        t = d2 / (d2 - d6)
-        return float(np.linalg.norm(ap - t * ac))
-    va = d3 * d6 - d5 * d4
-    if va <= 0 and (d4 - d3) >= 0 and (d5 - d6) >= 0:
-        t = (d4 - d3) / ((d4 - d3) + (d5 - d6))
-        return float(np.linalg.norm(p - (b + t * (c - b))))
-    denom = va + vb + vc
-    v, w = vb / denom, vc / denom
-    return float(np.linalg.norm(ap - (v * ab + w * ac)))
+def _face_distances(p, a, b, c):
+    """Distance from each point of ``p`` (N, 3) to the triangle abc.
+
+    The Voronoi-region cases of the closest-point test (vertex a, vertex b,
+    edge ab, vertex c, edge ac, edge bc, then the face interior), tried in
+    that order with masks: each point takes the first case that holds.
+    """
+    ab, ac = b - a, c - a
+    ap, bp, cp = p - a, p - b, p - c
+    d1, d2 = ap @ ab, ap @ ac
+    d3, d4 = bp @ ab, bp @ ac
+    d5, d6 = cp @ ab, cp @ ac
+    va, vb, vc = d3 * d6 - d5 * d4, d5 * d2 - d1 * d6, d1 * d4 - d3 * d2
+    # Each case divides only where it applies; elsewhere the quotient may be
+    # 0/0 and is discarded by the selection.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_ab = (d1 / (d1 - d3))[:, None]
+        t_ac = (d2 / (d2 - d6))[:, None]
+        t_bc = ((d4 - d3) / ((d4 - d3) + (d5 - d6)))[:, None]
+        denom = va + vb + vc
+        v, w = (vb / denom)[:, None], (vc / denom)[:, None]
+        r = np.select(
+            [((d1 <= 0) & (d2 <= 0))[:, None],
+             ((d3 >= 0) & (d4 <= d3))[:, None],
+             ((vc <= 0) & (d1 >= 0) & (d3 <= 0))[:, None],
+             ((d6 >= 0) & (d5 <= d6))[:, None],
+             ((vb <= 0) & (d2 >= 0) & (d6 <= 0))[:, None],
+             ((va <= 0) & (d4 - d3 >= 0) & (d5 - d6 >= 0))[:, None]],
+            [ap, bp, ap - t_ab * ab, cp, ap - t_ac * ac, p - (b + t_bc * (c - b))],
+            ap - (v * ab + w * ac))
+    return np.linalg.norm(r, axis=1)
 
 
-def surface_distance(s: PolyhedralSurface, p) -> float:
+def classify_points(s: PolyhedralSurface, p, tol: float = geom.TOL_GEOM):
+    """Classes of the points ``p`` (N, 3): +1 strictly inside, 0 on the
+    boundary (within tol*scale), -1 outside.
+
+    One pass per surface face keeps the running minimum distance to the
+    surface and adds up the generalized winding number (the solid angle of
+    each face, Jacobson et al. 2013) in face order; points off the boundary
+    are inside when the winding number exceeds 1/2.
+    """
     p = np.asarray(p, dtype=float)
     v = s.vertices
-    return min(_point_triangle_distance(p, v[a], v[b], v[c]) for a, b, c in s.faces)
-
-
-def winding_number(s: PolyhedralSurface, p) -> float:
-    """Generalized winding number: ~1 inside, ~0 outside a closed surface."""
-    p = np.asarray(p, dtype=float)
-    v = s.vertices
-    total = 0.0
+    dist = np.full(len(p), np.inf)
+    total = np.zeros(len(p))
     for fa, fb, fc in s.faces:
+        dist = np.minimum(dist, _face_distances(p, v[fa], v[fb], v[fc]))
         a, b, c = v[fa] - p, v[fb] - p, v[fc] - p
-        la, lb, lc = np.linalg.norm(a), np.linalg.norm(b), np.linalg.norm(c)
-        det = float(np.linalg.det(np.array([a, b, c])))
-        denom = la * lb * lc + np.dot(a, b) * lc + np.dot(b, c) * la + np.dot(c, a) * lb
-        total += 2.0 * math.atan2(det, denom)
-    return total / (4.0 * math.pi)
+        la, lb, lc = (np.linalg.norm(x, axis=1) for x in (a, b, c))
+        det = np.einsum("ij,ij->i", a, np.cross(b, c))
+        denom = (la * lb * lc + np.einsum("ij,ij->i", a, b) * lc
+                 + np.einsum("ij,ij->i", b, c) * la
+                 + np.einsum("ij,ij->i", c, a) * lb)
+        total += 2.0 * np.arctan2(det, denom)
+    inside = np.where(total / (4.0 * math.pi) > 0.5, 1, -1)
+    return np.where(dist <= tol * geom.coord_scale(v), 0, inside)
 
 
 def classify_point(s: PolyhedralSurface, p, tol: float = geom.TOL_GEOM) -> int:
     """+1 strictly inside, 0 on the boundary (within tol*scale), -1 outside."""
-    scale = geom.coord_scale(s.vertices)
-    if surface_distance(s, p) <= tol * scale:
-        return 0
-    return 1 if winding_number(s, p) > 0.5 else -1
+    return int(classify_points(s, np.reshape(p, (1, 3)), tol)[0])
 
 
 # -- tetra-tetra interior disjointness (separating axis test) -------------
@@ -214,68 +220,89 @@ def tets_interior_disjoint(pa, pb, tol: float = geom.TOL_GEOM):
     return bool(disjoint) if disjoint.ndim == 0 else disjoint
 
 
-def _segment_crosses_triangle(p0, p1, a, b, c, tol) -> bool:
-    """Proper crossing: interior of the segment through the triangle interior."""
-    d = p1 - p0
-    e1, e2 = b - a, c - a
-    h = np.cross(d, e2)
-    det = np.dot(e1, h)
-    if abs(det) < 1e-14:
-        return False  # parallel; grazing contact handled by point sampling
-    f = 1.0 / det
-    sv = p0 - a
-    u = f * np.dot(sv, h)
-    if u <= tol or u >= 1 - tol:
-        return False
+def _segments_cross_faces(p0, p1, s: PolyhedralSurface, tol):
+    """(K, 3) segments against every surface face -> (K,) bool: True where
+    the interior of the segment properly crosses the interior of a face.
+
+    Moeller-Trumbore in barycentric form; a segment parallel to a face
+    (|det| < 1e-14) never crosses it, since grazing contact is left to the
+    point samples.
+    """
+    f = s.vertices[np.asarray(s.faces)]            # (F, 3 vertices, 3)
+    a = f[:, 0]
+    e1, e2 = f[:, 1] - a, f[:, 2] - a
+    d = (p1 - p0)[:, None, :]                      # (K, 1, 3)
+    h = np.cross(d, e2)                            # (K, F, 3)
+    det = np.sum(e1 * h, axis=-1)
+    sv = p0[:, None, :] - a
     q = np.cross(sv, e1)
-    v = f * np.dot(d, q)
-    if v <= tol or v >= 1 - tol or u + v >= 1 - tol:
-        return False
-    t = f * np.dot(e2, q)
-    return tol < t < 1 - tol
+    # Parallel pairs divide by zero; the mask discards their quotients.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv = 1.0 / det
+        u = inv * np.sum(sv * h, axis=-1)
+        v = inv * np.sum(d * q, axis=-1)
+        t = inv * np.sum(e2 * q, axis=-1)
+        crosses = ((np.abs(det) >= 1e-14) & (u > tol) & (u < 1 - tol)
+                   & (v > tol) & (v < 1 - tol) & (u + v < 1 - tol)
+                   & (t > tol) & (t < 1 - tol))
+    return crosses.any(axis=1)
 
 
 # -- decomposition search --------------------------------------------------
 
-def _tet_sample_points(pts):
-    """Interior probe points of a tetra: edge samples and face samples."""
-    samples = []
-    for i, j in _TET_EDGES:
-        for t in (0.1, 0.25, 0.5, 0.75, 0.9):
-            samples.append((1 - t) * pts[i] + t * pts[j])
-    for omit in range(4):
-        tri = np.delete(pts, omit, axis=0)
-        cen = tri.mean(axis=0)
-        samples.append(cen)
-        for k in range(3):
-            samples.append(0.5 * (cen + tri[k]))
-    return samples
+_SAMPLE_T = np.array([0.1, 0.25, 0.5, 0.75, 0.9])
 
 
-def tet_admissible(s: PolyhedralSurface, tet, tol: float = geom.TOL_GEOM) -> bool:
-    """Candidate filter: the tetra must lie inside the surface.
+def _tet_probe_points(pts):
+    """(C, 4, 3) tetrahedra -> (C, 47, 3) probe points: the centroid, then
+    five samples along each edge (edges in _TET_EDGES order), then each
+    face's centroid followed by the midpoints from it to the face's three
+    vertices (faces in _TET_FACES order)."""
+    t = _SAMPLE_T[:, None]
+    edge = ((1 - t) * pts[:, _EDGE_TAIL, None, :]
+            + t * pts[:, _EDGE_HEAD, None, :])     # (C, 6, 5, 3)
+    tri = pts[:, _TET_FACES]                       # (C, 4, 3, 3)
+    cen = tri.mean(axis=2, keepdims=True)
+    face = np.concatenate([cen, 0.5 * (cen + tri)], axis=2)  # (C, 4, 4, 3)
+    return np.concatenate([pts.mean(axis=1, keepdims=True),
+                           edge.reshape(-1, 30, 3), face.reshape(-1, 16, 3)],
+                          axis=1)
 
-    Centroid strictly inside; edge and face probe points not outside; no
-    tetra edge properly crossing a boundary face.
+
+def tet_admissible(s: PolyhedralSurface, tets, tol: float = geom.TOL_GEOM):
+    """Candidate filter: the tetrahedron must lie inside the surface.
+
+    ``tets`` is one vertex-index 4-tuple or a stack (C, 4); the result is a
+    bool for one and a bool array (C,) for a stack.  A candidate is
+    admissible when its volume exceeds tol*scale**3, its centroid is
+    strictly inside, none of its 46 edge and face probe points is outside
+    (``classify_points``), and no tetrahedron edge that is not a surface
+    edge properly crosses a surface face.  Every stage runs on the whole
+    stack at once.
     """
-    pts = s.vertices[list(tet)]
-    scale = geom.coord_scale(s.vertices)
-    if abs(tet_volume(pts)) <= tol * scale**3:
-        return False
-    if classify_point(s, pts.mean(axis=0), tol) != 1:
-        return False
-    for q in _tet_sample_points(pts):
-        if classify_point(s, q, tol) == -1:
-            return False
-    surf_edges = set(s.edges)
+    tets = np.asarray(tets, dtype=int)
+    idx = tets.reshape(-1, 4)
     v = s.vertices
-    for i, j in _TET_EDGES:
-        if canonical_edge(tet[i], tet[j]) in surf_edges:
-            continue
-        for a, b, c in s.faces:
-            if _segment_crosses_triangle(pts[i], pts[j], v[a], v[b], v[c], 1e-9):
-                return False
-    return True
+    pts = v[idx]
+    scale = geom.coord_scale(v)
+    vol = np.linalg.det(pts[:, 1:] - pts[:, :1]) / 6.0
+    ok = np.abs(vol) > tol * scale**3
+
+    live = np.flatnonzero(ok)
+    probes = _tet_probe_points(pts[live])
+    cls = classify_points(s, probes.reshape(-1, 3), tol).reshape(probes.shape[:2])
+    ok[live] = (cls[:, 0] == 1) & ~np.any(cls == -1, axis=1)
+
+    live = np.flatnonzero(ok)
+    surface_edge = np.zeros((len(v), len(v)), dtype=bool)
+    for i, j in s.edges:
+        surface_edge[i, j] = surface_edge[j, i] = True
+    tail, head = idx[live][:, _EDGE_TAIL], idx[live][:, _EDGE_HEAD]
+    owner, edge = np.nonzero(~surface_edge[tail, head])
+    crossing = _segments_cross_faces(v[tail[owner, edge]], v[head[owner, edge]],
+                                     s, 1e-9)
+    ok[live[owner[crossing]]] = False
+    return bool(ok[0]) if tets.ndim == 1 else ok
 
 
 def tri_validate(t: Triangulation) -> ValidityReport:
@@ -353,6 +380,10 @@ def find_decomposition(s: PolyhedralSurface, budget: int = 200_000,
                        max_vertices: int = 16):
     """Exhaustive search for a triangulation without added vertices.
 
+    The fan from vertex 0 is tried first.  Otherwise one ``tet_admissible``
+    call filters all 4-subsets of the vertices at once, and a backtracking
+    search fills the surface's front with admissible candidates.
+
     Returns a validated Triangulation, or NonDecomposable when the candidate
     space is exhausted, or BudgetExceeded when the node budget runs out.
     """
@@ -367,7 +398,9 @@ def find_decomposition(s: PolyhedralSurface, budget: int = 200_000,
         return fan
 
     pts = s.vertices
-    candidates = [tet for tet in combinations(range(n), 4) if tet_admissible(s, tet)]
+    subsets = list(combinations(range(n), 4))
+    admissible = tet_admissible(s, np.array(subsets, dtype=int).reshape(-1, 4))
+    candidates = [tet for tet, ok in zip(subsets, admissible) if ok]
     n_candidates = len(candidates)
 
     cand_pts = pts[np.array(candidates, dtype=int).reshape(-1, 4)]

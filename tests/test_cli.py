@@ -206,11 +206,36 @@ def test_sweep_unknown_param_is_bad_params(capsys, param):
                        "--step", "0.5")
     assert (rc, out) == (2, "")
     assert err.startswith("BadParams: ")
-    assert "theta, r, h, depth, shift" in err
+    assert err.endswith("sweepable parameters: theta, r, h\n")
+
+
+@pytest.mark.parametrize("name, param, own", [
+    ("schonhardt", "depth", "theta, r, h"),
+    ("schonhardt", "hull-theta", "theta, r, h"),
+    ("pushed-pair", "shift", "depth"),
+    ("t-poly", "theta", "shift, hull-theta, hull-r, hull-h, ext-theta, "
+                        "ext-r, ext-h"),
+    ("octahedron", "theta", "none"),
+    ("cube-with-flat-vertex", "depth", "none"),
+])
+def test_sweep_param_the_generator_ignores_is_bad_params(capsys, name, param,
+                                                         own):
+    # Sweeping a flag the generator never reads would print identical rows.
+    rc, out, err = run(capsys, "sweep", name, param, "0..1", "--step", "0.5")
+    assert (rc, out) == (2, "")
+    assert err == (f"BadParams: cannot sweep {param!r} of {name}; "
+                   f"sweepable parameters: {own}\n")
+
+
+def test_sweep_theta_with_theta_pi_frac_is_bad_params(capsys):
+    rc, out, err = run(capsys, "sweep", "schonhardt", "theta", "0..1",
+                       "--step", "0.5", "--theta-pi-frac", "1/6")
+    assert (rc, out) == (2, "")
+    assert err.startswith("BadParams: ")
 
 
 def test_sweep_param_accepts_underscores(capsys):
-    rc, out, _ = run(capsys, "sweep", "schonhardt", "hull_theta", "0.4..0.5",
+    rc, out, _ = run(capsys, "sweep", "t-poly", "hull_theta", "0.4..0.5",
                      "--step", "1", "--json")
     assert rc == 0
     [row] = json.loads(out)["rows"]

@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -111,11 +112,20 @@ def test_tet_admissible_respects_surface():
     s = gen.schonhardt(gen.SchonhardtParams(math.pi / 6.0, 1.0, 2.0))
     # Every 4-subset of a critically twisted Schonhardt polyhedron pokes
     # outside: no admissible tetrahedron exists.
-    from itertools import combinations
     assert not any(tet_admissible(s, tet)
                    for tet in combinations(range(6), 4))
     assert any(tet_admissible(gen.octahedron(), tet)
                for tet in combinations(range(6), 4))
+
+
+@pytest.mark.parametrize("theta", [0.0, math.pi / 6.0])
+def test_tet_admissible_stack_equals_single_calls(theta):
+    s = gen.schonhardt(gen.SchonhardtParams(theta, 1.0, 2.0))
+    subsets = list(combinations(range(6), 4))
+    single = [tet_admissible(s, tet) for tet in subsets]
+    assert all(type(ok) is bool for ok in single)
+    stacked = tet_admissible(s, np.array(subsets))
+    assert stacked.dtype == bool and list(stacked) == single
 
 
 def test_tet_volume_unit():
