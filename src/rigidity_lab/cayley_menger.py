@@ -1,5 +1,7 @@
 """Tetrahedron metric kernel: bordered distance matrix, its determinant and
 edge cofactors, and the dihedral angle of an edge from the six lengths alone.
+``dihedral_kernel`` evaluates a stack of tetrahedra at once and adds the
+exact Jacobian of the six angles with respect to the six lengths.
 
 Vertex labels are 1..4; the length sextuple is ordered
 (e12, e13, e14, e23, e24, e34).
@@ -178,3 +180,96 @@ def dihedral_angle_from_points(p1, p2, p3, p4, edge) -> float:
     v_perp = v - np.dot(v, axis_hat) * axis_hat
     cosang = np.dot(u_perp, v_perp) / (np.linalg.norm(u_perp) * np.linalg.norm(v_perp))
     return math.acos(min(1.0, max(-1.0, float(cosang))))
+
+
+# -- stacked kernel -------------------------------------------------------
+#
+# With s the squared lengths, the bordered matrix B is linear in s, so its
+# determinant D and every cofactor are polynomials in s whose derivatives are
+# cofactors of one order higher.  The dihedral angle at edge e = ij is
+# arccos(N_e / sqrt(Q_e)) with N_e the cofactor of B at the complementary
+# labels (k, l) and Q_e = 2 s_e D + N_e^2.  Slot f's entry occupies positions
+# (a, b) and (b, a) of B, hence:
+#   dD/ds_f   = 2 C_ab = 2 N_opp(f), since f's labels complement opp(f)'s;
+#   dN_e/ds_f = the cofactors of N_e's own minor at the positions of f that
+#               survive deleting row k and column l (3x3 determinants);
+#   dalpha_e/ds_f = -(2 s_e D dN_e/ds_f - N_e (delta_ef D + s_e dD/ds_f))
+#                   / (Q_e sqrt(2 s_e D)),
+# which is -(dN - N dQ / 2Q) / sqrt(2 s_e D) with the N dN terms cancelled
+# by hand, so thin tetrahedra (D -> 0) lose no digits to subtraction.
+
+_PAIRS = tuple((i - 1, j - 1) for i, j in EDGE_ORDER)
+_ROWS = np.array([a for a, b in _PAIRS] + [b for a, b in _PAIRS])
+_COLS = np.array([b for a, b in _PAIRS] + [a for a, b in _PAIRS])
+# Slot of the edge opposite each slot: e12-e34, e13-e24, e14-e23.
+_OPPOSITE = np.array([_PAIRS.index(tuple(sorted(set(range(4)) - set(p))))
+                      for p in _PAIRS])
+
+
+def _minor_tables():
+    """Index tables for the six cofactors N_e (rows, columns and sign of each
+    4x4 minor) and for their derivatives: one 3x3 determinant per surviving
+    (e, f, position), summed into (e, f) by a signed 0/1 matrix."""
+    rows4, cols4, sign4 = [], [], []
+    rows3, cols3, scatter = [], [], []
+    for e, f_opp in enumerate(_OPPOSITE):
+        k, l = _PAIRS[f_opp]
+        r4 = [r for r in range(5) if r != k]
+        c4 = [c for c in range(5) if c != l]
+        rows4.append(r4)
+        cols4.append(c4)
+        sign4.append((-1.0) ** (k + l))
+        for f, (a, b) in enumerate(_PAIRS):
+            for p, q in ((a, b), (b, a)):
+                if p == k or q == l:
+                    continue  # the entry is deleted with N_e's row or column
+                rows3.append([r for r in r4 if r != p])
+                cols3.append([c for c in c4 if c != q])
+                term = np.zeros(36)
+                term[6 * e + f] = ((-1.0) ** (k + l)
+                                   * (-1.0) ** (r4.index(p) + c4.index(q)))
+                scatter.append(term)
+    return (np.array(rows4), np.array(cols4), np.array(sign4),
+            np.array(rows3), np.array(cols3), np.array(scatter))
+
+
+(_ROWS4, _COLS4, _SIGN4,
+ _ROWS3, _COLS3, _SCATTER3) = _minor_tables()
+
+
+def dihedral_kernel(lengths):
+    """Dihedral angles and their exact Jacobian for a stack of tetrahedra.
+
+    ``lengths`` is a (T, 6) array of edge lengths in EDGE_ORDER.  Returns
+    ``(angles, jacobian, valid)``: the (T, 6) interior dihedral angles, the
+    (T, 6, 6) derivatives ``jacobian[t, e, f] = d angle_e / d length_f``,
+    and the (T,) flag of ``is_valid_tetra``'s predicate.  D and the N_e are
+    the determinants ``dihedral_angle`` takes, so the angles are its own up
+    to the last bit of arccos.  Rows with ``valid`` False hold NaN or
+    meaningless values.
+    """
+    l = np.asarray(lengths, dtype=float).reshape(-1, 6)
+    s = l * l
+    b = np.zeros((len(l), 5, 5))
+    b[:, _ROWS, _COLS] = np.concatenate([s, s], axis=1)
+    b[:, 4, :4] = 1.0
+    b[:, :4, 4] = 1.0
+    d = np.linalg.det(b)
+    n = _SIGN4 * np.linalg.det(b[:, _ROWS4[:, :, None], _COLS4[:, None, :]])
+
+    x, y, z = np.moveaxis(l[:, np.array(_FACES)], 2, 0)  # (T, 4) each
+    valid = (np.all((x < y + z) & (y < x + z) & (z < x + y), axis=1)
+             & (d > TOL_D * np.max(l, axis=1) ** 6))
+
+    dn = (np.linalg.det(b[:, _ROWS3[:, :, None], _COLS3[:, None, :]])
+          @ _SCATTER3).reshape(-1, 6, 6)
+    dd = 2.0 * n[:, _OPPOSITE]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        two_sd = 2.0 * l * l * d[:, None]  # dihedral_angle's order, 2 e e D
+        q = two_sd + n * n
+        angles = np.arccos(np.clip(n / np.sqrt(q), -1.0, 1.0))
+        num = (two_sd[:, :, None] * dn
+               - n[:, :, None] * (np.eye(6) * d[:, None, None]
+                                  + s[:, :, None] * dd[:, None, :]))
+        dalpha_ds = -num / (q * np.sqrt(two_sd))[:, :, None]
+    return angles, dalpha_ds * (2.0 * l)[:, None, :], valid

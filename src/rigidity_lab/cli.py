@@ -18,6 +18,7 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -37,7 +38,7 @@ from .errors import (
 )
 from .geom import PolyhedralSurface
 from .pipeline import analyze_surface
-from .stiffness import DEFAULT_SCHEME, FDScheme, SchemeKind, TOL_EIG
+from .stiffness import DEFAULT_SCHEME, FDScheme, SchemeKind
 from .triangulation import Triangulation
 
 SCHEMA = "rigidity-lab/1"
@@ -221,7 +222,7 @@ def _gen_octahedron_centroid(args) -> PolyhedronDocument:
 
 def _gen_pushed_pair(args) -> PolyhedronDocument:
     convex, pushed = gen.pushed_vertex_pair(args.depth)
-    s = pushed if args.member == "pushed" else convex
+    s = convex if args.member == "convex" else pushed
     t = gen.pushed_pair_triangulation(s)
     return PolyhedronDocument.from_surface(s, t)
 
@@ -247,7 +248,8 @@ GENERATORS = {
 }
 
 
-# The numeric generator flags: name -> (default, help).
+# The numeric generator flags: name -> (default, help).  The parser leaves
+# a flag that is not given None, and _generator_args fills in the default.
 NUMERIC_FLAGS = {
     "theta": (None, "twist angle in radians"),
     "r": (1.0, None),
@@ -272,15 +274,50 @@ SWEEPABLE = {
                "ext-theta", "ext-r", "ext-h"),
 }
 
+# The generator flags that are not numeric, by the generator that reads them.
+OTHER_FLAGS = {
+    "schonhardt": ("theta-pi-frac",),
+    "pushed-pair": ("member",),
+}
+
 
 def _add_generator_flags(p: argparse.ArgumentParser) -> None:
-    for name, (default, help_text) in NUMERIC_FLAGS.items():
-        p.add_argument(f"--{name}", type=float, default=default,
-                       help=help_text)
+    for name, (_, help_text) in NUMERIC_FLAGS.items():
+        p.add_argument(f"--{name}", type=float, default=None, help=help_text)
     p.add_argument("--theta-pi-frac", default=None, metavar="NUM/DEN",
                    help="twist angle as a rational multiple of pi")
-    p.add_argument("--member", choices=("convex", "pushed"), default="pushed",
-                   help="which member of the pushed pair to emit")
+    p.add_argument("--member", choices=("convex", "pushed"), default=None,
+                   help="which member of the pushed pair to emit "
+                        "(default: pushed)")
+
+
+def _flag_list(flags) -> str:
+    return ", ".join(f"--{f}" for f in flags)
+
+
+def _given_flags(args) -> list[str]:
+    """The generator flags given on the command line."""
+    return [f for f in (*NUMERIC_FLAGS, "theta-pi-frac", "member")
+            if getattr(args, f.replace("-", "_")) is not None]
+
+
+def _generator_args(name: str, args) -> argparse.Namespace:
+    """A copy of ``args`` with generator ``name``'s numeric defaults filled
+    in.  A flag the generator does not read, or --theta together with
+    --theta-pi-frac, raises BadParams instead of being ignored."""
+    own = SWEEPABLE.get(name, ()) + OTHER_FLAGS.get(name, ())
+    stray = [f for f in _given_flags(args) if f not in own]
+    if stray:
+        raise BadParams(f"{name} does not read {_flag_list(stray)}; "
+                        f"its flags: {_flag_list(own) or 'none'}")
+    if args.theta is not None and args.theta_pi_frac is not None:
+        raise BadParams("give --theta or --theta-pi-frac, not both")
+    ns = argparse.Namespace(**vars(args))
+    for flag, (default, _) in NUMERIC_FLAGS.items():
+        attr = flag.replace("-", "_")
+        if getattr(ns, attr) is None:
+            setattr(ns, attr, default)
+    return ns
 
 
 def _generator(name: str):
@@ -294,7 +331,11 @@ def _make_document(args) -> PolyhedronDocument:
     name = args.name
     # A generator id always means the generator, even if a file has its name.
     if name != "-" and (name in GENERATORS or not os.path.exists(name)):
-        return _generator(name)(args)
+        return _generator(name)(_generator_args(name, args))
+    given = _given_flags(args)
+    if given:
+        raise BadParams(f"{_flag_list(given)}: generator flags do not apply "
+                        f"to a document")
     try:
         if name == "-":
             text = sys.stdin.read()
@@ -340,8 +381,10 @@ def _render_analysis(report: dict) -> str:
     if "stiffness" in report:
         st = report["stiffness"]
         eig = ", ".join(f"{x:.9g}" for x in st["eigenvalues"])
-        lines.append(f"M_T spectrum ({st['scheme']['kind']} "
-                     f"eps={st['scheme']['epsilon']:g}): [{eig}]")
+        sc = st["scheme"]
+        label = (sc["kind"] if sc["epsilon"] is None
+                 else f"{sc['kind']} eps={sc['epsilon']:g}")
+        lines.append(f"M_T spectrum ({label}): [{eig}]")
         lines.append(f"  negative={st['n_negative']} zero={st['n_zero']} "
                      f"positive={st['n_positive']} "
                      f"(tol_eig={st['tol_eig']:g})")
@@ -410,6 +453,8 @@ def cmd_sweep(args) -> str:
     if param == "theta" and args.theta_pi_frac is not None:
         raise BadParams("cannot sweep theta with --theta-pi-frac, which "
                         "fixes it")
+    # A stray flag is one usage error, not an error row per value.
+    _generator_args(args.name, args)
     lo, hi = _parse_range(args.range)
     rows = [sweep_row(args.name, args.param, v, args)
             for v in _sweep_samples(lo, hi, args.step)]
@@ -474,15 +519,31 @@ def from_obj(text: str) -> PolyhedronDocument:
 # ---------------------------------------------------------------------------
 
 def cmd_generate(args) -> str:
-    return _generator(args.name)(args).to_json()
+    generate = _generator(args.name)
+    return generate(_generator_args(args.name, args)).to_json()
+
+
+def _scheme(args):
+    """The M_T scheme the analyze flags select."""
+    kind = SchemeKind(args.scheme)
+    if kind is SchemeKind.EXACT:
+        if args.eps is not None or args.round_sig is not None:
+            raise BadParams("--eps and --round-sig set a finite-difference "
+                            "scheme; the exact scheme takes neither")
+        return DEFAULT_SCHEME
+    eps = FDScheme.epsilon if args.eps is None else args.eps  # its default
+    round_sig = args.round_sig
+    if round_sig is None and kind is SchemeKind.FORWARD:
+        round_sig = 6
+    try:
+        return FDScheme(kind, eps, round_sig)
+    except ValueError as exc:
+        raise BadParams(str(exc)) from exc
 
 
 def cmd_analyze(args) -> str:
+    scheme = _scheme(args)
     doc = _make_document(args)
-    round_sig = args.round_sig
-    if round_sig is None and args.scheme == "forward":
-        round_sig = 6
-    scheme = FDScheme(SchemeKind(args.scheme), args.eps, round_sig=round_sig)
     t = doc.as_triangulation()
     # Share one surface, so its validity and extremality are computed once.
     s = doc.surface() if t is None else t.surface
@@ -540,12 +601,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="run the full rigidity pipeline")
     add_common(p)
-    p.add_argument("--scheme", choices=("forward", "central"),
-                   default="central", help="finite-difference scheme for M_T")
-    p.add_argument("--eps", type=float, default=DEFAULT_SCHEME.epsilon,
-                   help="finite-difference step")
-    p.add_argument("--tol-eig", type=float, default=TOL_EIG,
-                   help="relative zero-eigenvalue tolerance")
+    p.add_argument("--scheme", choices=("exact", "central", "forward"),
+                   default="exact",
+                   help="M_T from exact derivatives, or a finite-difference "
+                        "oracle")
+    p.add_argument("--eps", type=float, default=None,
+                   help="finite-difference step (default 1e-6)")
+    p.add_argument("--tol-eig", type=float, default=None,
+                   help="relative zero-eigenvalue tolerance (default: 1e-9 "
+                        "for exact, 1e-4 for the finite differences)")
     p.add_argument("--round-sig", type=int, default=None,
                    help="round total angles to this many significant digits "
                         "before differencing (default: 6 for the forward "
@@ -571,9 +635,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: each argparse tree is a few
+    hundred objects in reference cycles, which only a full collection
+    frees."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         text = args.func(args)
         if args.output:

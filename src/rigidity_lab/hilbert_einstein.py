@@ -121,6 +121,19 @@ def _edge_slots(t: Triangulation):
     return interior, boundary
 
 
+def tet_edge_table(t: Triangulation, l: EdgeLengthAssignment):
+    """(lengths, index): each tetrahedron's six edge lengths in EDGE_ORDER as
+    a (T, 6) array, and the ``interior_edges`` index of each slot, -1 for a
+    boundary edge."""
+    table = _length_lookup(t, l)
+    lengths = np.array([_tet_values(tet, table) for tet in t.tetrahedra])
+    index = np.full((len(t.tetrahedra), 6), -1)
+    for k, inc in enumerate(_edge_slots(t)[0]):
+        for ti, slot in inc:
+            index[ti, slot] = k
+    return lengths, index
+
+
 def _sum_angles(slots, rows) -> np.ndarray:
     """Per edge, the sum of its tetrahedra's angle-row entries, added in
     tetrahedron order so equal rows always give bitwise-equal sums."""

@@ -14,8 +14,8 @@ from .deformation import deformation_space, rigidity_matrix
 from .geom import PolyhedralSurface, is_weakly_convex
 from .stiffness import (
     DEFAULT_SCHEME,
+    ExactScheme,
     FDScheme,
-    TOL_EIG,
     assemble_mt,
     rigidity_verdict,
     spectrum,
@@ -51,11 +51,12 @@ def decompose(s: PolyhedralSurface, t: Triangulation | None = None,
 
 def analyze_surface(s: PolyhedralSurface,
                     t: Triangulation | None = None,
-                    scheme: FDScheme = DEFAULT_SCHEME,
-                    tol_eig: float = TOL_EIG,
+                    scheme: ExactScheme | FDScheme = DEFAULT_SCHEME,
+                    tol_eig: float | None = None,
                     budget: int = 200000) -> dict:
     """Run the full pipeline and return the AnalysisReport as a plain dict
-    (the machine-readable form; the human rendering is derived from it)."""
+    (the machine-readable form; the human rendering is derived from it).
+    ``tol_eig`` None means the scheme's own zero cutoff."""
     report: dict = {"schema": "rigidity-lab/analysis/1"}
 
     validity = s.validate()
@@ -103,7 +104,7 @@ def analyze_surface(s: PolyhedralSurface,
         "verdict": dverdict.kind.value,
     }
 
-    # A Flexible spectral verdict is finite-difference evidence; without
+    # A Flexible spectral verdict is numerical evidence; without
     # corroboration from the deformation oracle it is downgraded.
     if stiff_verdict is not None:
         agree = stiff_verdict == dverdict.kind.value

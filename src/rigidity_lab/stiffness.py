@@ -1,6 +1,12 @@
-"""Finite-difference assembly of the angle-derivative matrix (d omega_i /
-d l_j), its spectrum via cyclic Jacobi rotations, and the rigidity verdicts
-drawn from kernel and negative-eigenvalue counts.
+"""The stiffness matrix M_T = (d omega_i / d l_j), the negative Hessian of
+the discrete Hilbert-Einstein functional, its spectrum, and the rigidity
+verdicts drawn from kernel and negative-eigenvalue counts.
+
+The default scheme assembles M_T exactly: each tetrahedron's 6x6 Jacobian
+of dihedral angles with respect to edge lengths, from the stacked
+Cayley-Menger kernel, is scatter-added over the slots of its interior
+edges.  The finite-difference schemes are kept as opt-in oracles; the
+forward one replicates the published hand computation.
 """
 
 from __future__ import annotations
@@ -11,15 +17,33 @@ from enum import Enum
 import numpy as np
 
 from . import hilbert_einstein as he
+from .cayley_menger import dihedral_kernel
 from .errors import NotConvex, OutOfDomain
 from .triangulation import Triangulation, VertexCensus
 
 TOL_EIG = 1e-4  # relative zero-classification tolerance for FD-derived matrices
+# The exact matrix carries rounding error only: true zeros sit at or below
+# about 4e-13 of max|M| on the generator suite, and true nonzeros of seeded
+# convex hull fans stay above 1e-5 of it, while thin tetrahedra make max|M|
+# large enough that TOL_EIG would call a genuine eigenvalue zero.
+TOL_EIG_EXACT = 1e-9
 
 
 class SchemeKind(str, Enum):
+    EXACT = "exact"
     FORWARD = "forward"
     CENTRAL = "central"
+
+
+@dataclass(frozen=True)
+class ExactScheme:
+    """M_T from the exact Jacobians of the stacked Cayley-Menger kernel; it
+    has no step and no rounding."""
+
+    kind = SchemeKind.EXACT
+    epsilon = None
+    round_sig = None
+    tol_eig = TOL_EIG_EXACT
 
 
 @dataclass(frozen=True)
@@ -30,23 +54,29 @@ class FDScheme:
     # summation; replicates hand computations transcribed at display
     # precision. None means full precision.
     round_sig: int | None = None
+    tol_eig = TOL_EIG
 
     def __post_init__(self):
+        if self.kind is SchemeKind.EXACT:
+            raise ValueError("the exact scheme is ExactScheme, not a "
+                             "finite difference")
         if not (0.0 < self.epsilon <= 1e-2):
             raise ValueError(f"epsilon must lie in (0, 1e-2]; got {self.epsilon}")
+        if self.round_sig is not None and self.round_sig < 1:
+            raise ValueError(f"round_sig must be at least 1; got {self.round_sig}")
 
 
 # Replicates the classical hand computation: forward differencing with the
 # base angles taken as exactly 2*pi and perturbed angles transcribed at the
 # 6-significant-figure display precision of the original worked example.
 PAPER_SCHEME = FDScheme(SchemeKind.FORWARD, 1e-8, round_sig=6)
-DEFAULT_SCHEME = FDScheme(SchemeKind.CENTRAL, 1e-6)
+DEFAULT_SCHEME = ExactScheme()
 
 
 @dataclass
 class StiffnessMatrix:
     matrix: np.ndarray
-    scheme: FDScheme
+    scheme: ExactScheme | FDScheme
     symmetry_residual: float
 
     @property
@@ -79,17 +109,47 @@ class Verdict:
     evidence: dict = field(default_factory=dict)
 
 
-def assemble_mt(t: Triangulation, scheme: FDScheme = DEFAULT_SCHEME) -> StiffnessMatrix:
+def assemble_mt(t: Triangulation,
+                scheme: ExactScheme | FDScheme = DEFAULT_SCHEME) -> StiffnessMatrix:
+    """M_T at the Euclidean base point: entry (i, j) is the derivative of
+    the total angle around interior edge i with respect to the length of
+    interior edge j."""
+    t.require_valid()
+    base = he.euclidean_lengths(t)
+    if scheme.kind is SchemeKind.EXACT:
+        m = _exact_mt(t, base)
+    else:
+        m = _fd_mt(t, base, scheme)
+    n = len(base.interior)
+    norm = float(np.max(np.abs(m))) if n else 0.0
+    rho = float(np.max(np.abs(m - m.T))) / max(1.0, norm) if n else 0.0
+    return StiffnessMatrix(matrix=m, scheme=scheme, symmetry_residual=rho)
+
+
+def _exact_mt(t: Triangulation, base: he.EdgeLengthAssignment) -> np.ndarray:
+    """Scatter-add each tetrahedron's Jacobian block over the slots of its
+    interior edges."""
+    lengths, index = he.tet_edge_table(t, base)
+    _, jac, valid = dihedral_kernel(lengths)
+    if not np.all(valid):
+        raise OutOfDomain("Euclidean base point is outside the admissible domain")
+    n = len(base.interior)
+    # Boundary slots (index -1) land in a padding row and column.
+    m = np.zeros((n + 1, n + 1))
+    np.add.at(m, (index[:, :, None], index[:, None, :]), jac)
+    return m[:n, :n]
+
+
+def _fd_mt(t: Triangulation, base: he.EdgeLengthAssignment,
+           scheme: FDScheme) -> np.ndarray:
     """Columns are finite-difference derivatives of the total-angle vector
-    with respect to one interior edge length, at the Euclidean base point.
+    with respect to one interior edge length.
 
     In forward mode the base angles are exactly 2*pi (the Euclidean
     shortcut); central mode differences two perturbed evaluations.  Column
     j re-evaluates only the tetrahedra on edge j (``OneEdgeAngles``); the
     result is bitwise that of recomputing every total angle.
     """
-    t.require_valid()
-    base = he.euclidean_lengths(t)
     if not he.in_domain(t, base):
         raise OutOfDomain("Euclidean base point is outside the admissible domain")
     n = len(base.interior)
@@ -104,52 +164,17 @@ def assemble_mt(t: Triangulation, scheme: FDScheme = DEFAULT_SCHEME) -> Stiffnes
         else:
             omega_minus = angles.omega_with(j, base.interior[j] - eps)
             m[:, j] = (omega_plus - omega_minus) / (2.0 * eps)
-    norm = float(np.max(np.abs(m))) if n else 0.0
-    rho = float(np.max(np.abs(m - m.T))) / max(1.0, norm) if n else 0.0
-    return StiffnessMatrix(matrix=m, scheme=scheme, symmetry_residual=rho)
+    return m
 
 
-def jacobi_eigenvalues(a: np.ndarray, tol: float = 1e-12, max_sweeps: int = 100) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations, iterated
-    until the off-diagonal Frobenius norm drops below tol * ||A||_F."""
-    a = np.array(a, dtype=float)
-    n = a.shape[0]
-    if n <= 1:
-        return np.diag(a).copy() if n else np.zeros(0)
-    norm = np.linalg.norm(a)
-    if norm == 0.0:
-        return np.zeros(n)
-    for _ in range(max_sweeps):
-        off = np.sqrt(max(np.sum(a**2) - np.sum(np.diag(a) ** 2), 0.0))
-        if off <= tol * norm:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-300:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                sign = 1.0 if theta >= 0 else -1.0
-                if abs(theta) > 1e150:
-                    tpar = sign / (2.0 * abs(theta))
-                else:
-                    tpar = sign / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                c = 1.0 / np.sqrt(tpar * tpar + 1.0)
-                s = tpar * c
-                rot = np.eye(n)
-                rot[p, p] = rot[q, q] = c
-                rot[p, q] = s
-                rot[q, p] = -s
-                a = rot.T @ a @ rot
-                a = 0.5 * (a + a.T)
-    return np.sort(np.diag(a))
-
-
-def spectrum(m: StiffnessMatrix, tol_eig: float = TOL_EIG) -> Spectrum:
+def spectrum(m: StiffnessMatrix, tol_eig: float | None = None) -> Spectrum:
     """Eigenvalues of the symmetrized matrix, classified against
-    |lambda| <= tol_eig * max(1, ||M||_inf)."""
+    |lambda| <= tol_eig * max(1, ||M||_inf); tol_eig defaults to the
+    scheme's own cutoff."""
+    if tol_eig is None:
+        tol_eig = m.scheme.tol_eig
     sym = m.symmetrized
-    eig = jacobi_eigenvalues(sym)
+    eig = np.linalg.eigvalsh(sym)
     norm = float(np.max(np.abs(sym))) if m.n else 0.0
     cut = tol_eig * max(1.0, norm)
     n_neg = int(np.sum(eig < -cut))
@@ -160,7 +185,7 @@ def spectrum(m: StiffnessMatrix, tol_eig: float = TOL_EIG) -> Spectrum:
 
 def rigidity_verdict(t: Triangulation, sp: Spectrum, census: VertexCensus) -> Verdict:
     """Kernel test: with no interior vertices, non-degenerate <=> rigid.
-    Flexible verdicts from finite-difference spectra are numerical evidence
+    Flexible verdicts from floating-point spectra are numerical evidence
     and are flagged as such for downstream corroboration."""
     evidence = {
         "path": "stiffness-kernel",

@@ -10,6 +10,7 @@ from rigidity_lab.cayley_menger import (
     cm_matrix,
     dihedral_angle,
     dihedral_angle_from_points,
+    dihedral_kernel,
     is_valid_tetra,
 )
 from rigidity_lab.errors import DegenerateTetra
@@ -97,3 +98,53 @@ def test_cofactor_edge_order_and_symmetry():
     regular = TetraLengths(1, 1, 1, 1, 1, 1)
     values = [cm_cofactor(regular, e) for e in EDGES]
     assert max(values) - min(values) <= 1e-12
+
+
+def _seeded_lengths(seed, n, height=1.0):
+    """n length sextuples of random tetrahedra whose fourth vertex sits at
+    ``height`` times the usual scale from the centroid of the other three."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(n):
+        pts = rng.normal(size=(4, 3))
+        pts[3] = pts[:3].mean(axis=0) + height * rng.normal(size=3)
+        out.append(_lengths_from_points(pts).as_array())
+    return np.array(out)
+
+
+def test_kernel_angles_match_scalar_dihedral():
+    lengths = np.vstack([_seeded_lengths(3, 20), _seeded_lengths(4, 10, 1e-2)])
+    angles, _, valid = dihedral_kernel(lengths)
+    assert valid.all()
+    for row, ls in zip(angles, lengths):
+        tl = TetraLengths.from_array(ls)
+        # math.acos and np.arccos may differ in the last bit.
+        assert np.max(np.abs(row - [dihedral_angle(tl, e) for e in EDGES])) \
+            <= 1e-15
+
+
+def test_kernel_opposite_entries_and_symmetry():
+    lengths = np.vstack([_seeded_lengths(5, 20), _seeded_lengths(6, 10, 1e-2)])
+    _, jac, _ = dihedral_kernel(lengths)
+    for block, ls in zip(jac, lengths):
+        volume = math.sqrt(cm_determinant(TetraLengths.from_array(ls)) / 288.0)
+        scale = np.max(np.abs(block))
+        assert np.max(np.abs(block - block.T)) <= 1e-13 * scale
+        for e in range(6):
+            opp = 5 - e  # e12-e34, e13-e24, e14-e23
+            assert block[e, opp] == pytest.approx(
+                ls[e] * ls[opp] / (6.0 * volume), rel=1e-12)
+
+
+def test_kernel_valid_flag_is_is_valid_tetra():
+    flat = TetraLengths(1, math.sqrt(2), 1, 1, math.sqrt(2), 1)
+    impossible = TetraLengths(1, 2, 1, 3, 1, 1)
+    regular = TetraLengths(1, 1, 1, 1, 1, 1)
+    # Near-flat tetrahedra on both sides of the determinant threshold.
+    near_flat = np.vstack([_seeded_lengths(7, 8, h) for h in (1e-5, 3e-6)])
+    cases = [flat, impossible, regular] + [
+        TetraLengths.from_array(ls) for ls in near_flat]
+    _, _, valid = dihedral_kernel(np.array([c.as_array() for c in cases]))
+    assert list(valid) == [is_valid_tetra(c) for c in cases]
+    assert list(valid[:3]) == [False, False, True]
+    assert 0 < sum(valid[3:]) < len(near_flat)

@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from rigidity_lab import cli
 from rigidity_lab.cli import (
     PolyhedronDocument,
     from_obj,
@@ -338,3 +339,123 @@ def test_decompose_result_is_analyze_decomposition(capsys, argv):
     _, decomposed, _ = run(capsys, "decompose", *argv, "--json")
     assert (json.loads(decomposed)["result"]
             == json.loads(analyzed)["decomposition"])
+
+
+# -- parser ---------------------------------------------------------------
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    built = []
+    real = cli.build_parser
+
+    def counting():
+        built.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    _, out1, _ = run(capsys, "analyze", "octahedron", "--json")
+    _, out2, _ = run(capsys, "analyze", "octahedron", "--json")
+    assert built == [1]
+    assert out1 == out2
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "octahedron", "--scheme", "nosuch"])
+    assert exc.value.code == 2
+    assert built == [1]
+
+
+# -- M_T scheme flags -----------------------------------------------------
+
+def test_analyze_defaults_to_exact_scheme(capsys):
+    rc, out, _ = run(capsys, "analyze", "octahedron", "--json")
+    st = json.loads(out)["stiffness"]
+    assert rc == 0
+    assert st["scheme"] == {"kind": "exact", "epsilon": None,
+                            "round_sig": None}
+    assert st["tol_eig"] == 1e-9
+    assert st["eigenvalues"] == pytest.approx([4.0], abs=1e-12)
+    rc, out, _ = run(capsys, "analyze", "octahedron")
+    assert "M_T spectrum (exact): [4]" in out
+    assert "(tol_eig=1e-09)" in out
+
+
+def test_finite_difference_schemes_keep_their_step_and_cutoff(capsys):
+    rc, out, _ = run(capsys, "analyze", "octahedron", "--scheme", "central",
+                     "--json")
+    st = json.loads(out)["stiffness"]
+    assert rc == 0
+    assert st["scheme"] == {"kind": "central", "epsilon": 1e-6,
+                            "round_sig": None}
+    assert st["tol_eig"] == 1e-4
+    _, out, _ = run(capsys, "analyze", "octahedron", "--scheme", "forward")
+    assert "M_T spectrum (forward eps=1e-06): " in out
+    _, out, _ = run(capsys, "analyze", "octahedron", "--tol-eig", "0.5",
+                    "--json")
+    assert json.loads(out)["stiffness"]["tol_eig"] == 0.5
+
+
+@pytest.mark.parametrize("flags", [
+    ("--eps", "1e-8"),
+    ("--round-sig", "6"),
+    ("--scheme", "exact", "--eps", "1e-6"),
+    ("--scheme", "central", "--eps", "1"),
+    ("--scheme", "central", "--round-sig", "0"),
+], ids=["eps-exact", "round-sig-exact", "explicit-exact", "eps-range",
+        "round-sig-range"])
+def test_bad_scheme_flags_are_bad_params(capsys, flags):
+    rc, out, err = run(capsys, "analyze", "octahedron", *flags)
+    assert (rc, out) == (2, "")
+    assert err.startswith("BadParams: ")
+
+
+# -- generator flags ------------------------------------------------------
+
+@pytest.mark.parametrize("argv, message", [
+    (("generate", "octahedron", "--depth", "3"),
+     "octahedron does not read --depth; its flags: none"),
+    (("analyze", "schonhardt", "--shift", "1"),
+     "schonhardt does not read --shift; its flags: --theta, --r, --h, "
+     "--theta-pi-frac"),
+    (("decompose", "schonhardt", "--member", "convex"),
+     "schonhardt does not read --member; its flags: --theta, --r, --h, "
+     "--theta-pi-frac"),
+    (("export", "pushed-pair", "--theta", "0.3", "--r", "2"),
+     "pushed-pair does not read --theta, --r; its flags: --depth, --member"),
+    (("generate", "schonhardt", "--theta", "0.3", "--theta-pi-frac", "1/6"),
+     "give --theta or --theta-pi-frac, not both"),
+    (("sweep", "schonhardt", "theta", "0..1", "--step", "0.5", "--depth",
+      "1"),
+     "schonhardt does not read --depth; its flags: --theta, --r, --h, "
+     "--theta-pi-frac"),
+], ids=["generate", "analyze", "decompose", "export", "theta-twice",
+        "sweep"])
+def test_generator_flag_the_generator_ignores_is_bad_params(capsys, argv,
+                                                            message):
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out, err) == (2, "", f"BadParams: {message}\n")
+
+
+def test_generator_flag_with_a_document_is_bad_params(tmp_path, capsys,
+                                                      monkeypatch):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(_TETRA))
+    rc, out, err = run(capsys, "analyze", str(path), "--theta", "0.3")
+    assert (rc, out) == (2, "")
+    assert err == ("BadParams: --theta: generator flags do not apply to a "
+                   "document\n")
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(_TETRA)))
+    rc, out, err = run(capsys, "decompose", "-", "--member", "pushed")
+    assert (rc, out) == (2, "")
+    assert err.startswith("BadParams: --member: ")
+
+
+def test_generator_defaults_are_unchanged(capsys):
+    _, default, _ = run(capsys, "generate", "pushed-pair")
+    _, explicit, _ = run(capsys, "generate", "pushed-pair", "--member",
+                         "pushed")
+    _, convex, _ = run(capsys, "generate", "pushed-pair", "--member",
+                       "convex")
+    assert default == explicit != convex
+    _, default, _ = run(capsys, "generate", "t-poly")
+    _, explicit, _ = run(capsys, "generate", "t-poly", "--shift", "0",
+                         "--ext-r", "2.5")
+    assert default == explicit

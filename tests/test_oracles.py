@@ -2,14 +2,17 @@
 
 The reference implementations below are kept here, in test code only:
 a per-pair separating-axis test, a finite-difference M_T that recomputes
-every total angle for every perturbation, and the per-candidate,
-per-point decomposition filter.  The fast paths must give the same
-verdicts and bitwise the same matrices.
+every total angle for every perturbation, high-precision differences of
+the dihedral-angle formula, and the per-candidate, per-point
+decomposition filter.  The fast paths must give the same verdicts and
+bitwise the same matrices; the exact M_T, which replaces a difference
+quotient by a derivative, must agree to a tolerance.
 """
 
 import math
 from itertools import combinations
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.spatial import ConvexHull
@@ -17,14 +20,17 @@ from scipy.spatial import ConvexHull
 from rigidity_lab import generators as gen
 from rigidity_lab import hilbert_einstein as he
 from rigidity_lab import geom
+from rigidity_lab.cayley_menger import EDGE_ORDER, dihedral_kernel
 from rigidity_lab.cli import analyze_surface
 from rigidity_lab.errors import OutOfDomain
 from rigidity_lab.geom import PolyhedralSurface
 from rigidity_lab.stiffness import (
     DEFAULT_SCHEME,
     PAPER_SCHEME,
+    FDScheme,
     SchemeKind,
     assemble_mt,
+    spectrum,
 )
 from rigidity_lab.triangulation import (
     Triangulation,
@@ -87,6 +93,40 @@ def global_fd_mt(t, scheme) -> np.ndarray:
                                     round_sig=scheme.round_sig).omega
             m[:, j] = (plus - minus) / (2.0 * eps)
     return m
+
+
+def _mp_dihedral_angles(lengths) -> list:
+    """The six angles of ``dihedral_angle``'s formula in mpmath arithmetic."""
+    s = [x * x for x in lengths]
+    b = mp.matrix(5, 5)
+    for (i, j), v in zip(EDGE_ORDER, s):
+        b[i - 1, j - 1] = b[j - 1, i - 1] = v
+    for i in range(4):
+        b[4, i] = b[i, 4] = 1
+    d = mp.det(b)
+    angles = []
+    for e, (i, j) in enumerate(EDGE_ORDER):
+        k, l = sorted({1, 2, 3, 4} - {i, j})
+        minor = mp.matrix([[b[r, c] for c in range(5) if c != l - 1]
+                           for r in range(5) if r != k - 1])
+        n = (-1) ** (k + l) * mp.det(minor)
+        angles.append(mp.acos(n / mp.sqrt(2 * s[e] * d + n * n)))
+    return angles
+
+
+def mp_dihedral_jacobian(lengths) -> np.ndarray:
+    """d angle_e / d length_f by central differences at 50 digits."""
+    jac = np.zeros((6, 6))
+    with mp.workdps(50):
+        h = mp.mpf("1e-20")
+        for f in range(6):
+            up = [mp.mpf(float(x)) for x in lengths]
+            down = list(up)
+            up[f] += h
+            down[f] -= h
+            plus, minus = _mp_dihedral_angles(up), _mp_dihedral_angles(down)
+            jac[:, f] = [float((a - b) / (2 * h)) for a, b in zip(plus, minus)]
+    return jac
 
 
 def _point_triangle_distance(p, a, b, c) -> float:
@@ -225,16 +265,30 @@ def _hull_points():
     return [_sphere_points(rng, n) for n in (12, 24, 48)]
 
 
+def _thinnest(t: Triangulation) -> tuple:
+    return min(t.tetrahedra,
+               key=lambda tet: abs(tet_volume(t.points[list(tet)])))
+
+
+def _thickest_fan(p) -> Triangulation:
+    """The hull of p, fanned from the apex with the thickest thinnest
+    tetrahedron."""
+    def thinnest(apex):
+        t = _hull_fan(p, apex)
+        return abs(tet_volume(p[list(_thinnest(t))]))
+
+    return _hull_fan(p, max(range(len(p)), key=thinnest))
+
+
 def _hull24_fan() -> Triangulation:
     """The 24-vertex hull, fanned from the apex with the thickest thinnest
     tetrahedron."""
-    p = _hull_points()[1]
+    return _thickest_fan(_hull_points()[1])
 
-    def thinnest(apex):
-        return min(abs(tet_volume(p[list(tet)]))
-                   for tet in _hull_fan(p, apex).tetrahedra)
 
-    return _hull_fan(p, max(range(len(p)), key=thinnest))
+def _seeded_hull_fans() -> list[Triangulation]:
+    rng = np.random.default_rng(31)
+    return [_thickest_fan(_sphere_points(rng, n)) for n in (12, 16, 20, 28)]
 
 
 @pytest.fixture(scope="module")
@@ -411,7 +465,8 @@ def test_stacked_filter_matches_scalar_filter(family):
 
 # -- local finite differences ---------------------------------------------
 
-@pytest.mark.parametrize("scheme", [DEFAULT_SCHEME, PAPER_SCHEME],
+@pytest.mark.parametrize("scheme", [FDScheme(SchemeKind.CENTRAL, 1e-6),
+                                    PAPER_SCHEME],
                          ids=["central", "paper"])
 def test_local_fd_equals_global_fd(scheme, criterion10_suite):
     for t in criterion10_suite + [_hull24_fan()]:
@@ -425,10 +480,51 @@ def test_local_fd_out_of_domain_like_global_fd():
     # the domain.
     t = _hull_fan(_hull_points()[2], apex=0)
     assert (len(t.tetrahedra), len(t.interior_edges)) == (88, 43)
+    central = FDScheme(SchemeKind.CENTRAL, 1e-6)
     with pytest.raises(OutOfDomain):
-        global_fd_mt(t, DEFAULT_SCHEME)
+        global_fd_mt(t, central)
     with pytest.raises(OutOfDomain):
-        assemble_mt(t, DEFAULT_SCHEME)
+        assemble_mt(t, central)
+    # The exact scheme takes no step, so the fan stays in the domain.
+    sp = spectrum(assemble_mt(t, DEFAULT_SCHEME))
+    assert (sp.n_negative, sp.n_zero, sp.n_positive) == (0, 0, 43)
+    assert analyze_surface(t.surface, t)["verdict"] == "Rigid"
+
+
+# -- exact M_T ------------------------------------------------------------
+
+def test_kernel_jacobian_matches_high_precision_differences():
+    rng = np.random.default_rng(21)
+    cases = []
+    for k in range(12):
+        pts = rng.normal(size=(4, 3))
+        if k % 3 == 0:  # thin: the fourth vertex near the opposite face
+            pts[3] = pts[:3].mean(axis=0) + 1e-2 * rng.normal(size=3)
+        cases.append([np.linalg.norm(pts[i - 1] - pts[j - 1])
+                      for i, j in EDGE_ORDER])
+    # The thinnest tetrahedron (volume 4.6e-6) of the 48-vertex fan.
+    t = _hull_fan(_hull_points()[2], apex=0)
+    tet = _thinnest(t)
+    cases.append([np.linalg.norm(t.points[tet[i - 1]] - t.points[tet[j - 1]])
+                  for i, j in EDGE_ORDER])
+    _, jac, valid = dihedral_kernel(np.array(cases))
+    assert valid.all()
+    for block, ls in zip(jac, cases):
+        ref = mp_dihedral_jacobian(ls)
+        assert np.max(np.abs(block - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+
+def test_exact_mt_matches_central_fd(criterion10_suite):
+    central = FDScheme(SchemeKind.CENTRAL, 1e-6)
+    for t in criterion10_suite + _seeded_hull_fans():
+        exact = assemble_mt(t, DEFAULT_SCHEME)
+        fd = assemble_mt(t, central)
+        scale = max(1.0, np.max(np.abs(exact.matrix)))
+        assert np.max(np.abs(exact.matrix - fd.matrix)) <= 1e-5 * scale
+        assert exact.symmetry_residual <= 1e-13
+        se, sf = spectrum(exact), spectrum(fd)
+        assert ((se.n_negative, se.n_zero, se.n_positive)
+                == (sf.n_negative, sf.n_zero, sf.n_positive)), t.tetrahedra
 
 
 # -- extremality LPs ------------------------------------------------------
