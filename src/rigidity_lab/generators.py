@@ -241,13 +241,10 @@ class TPolyParams:
     hull: SchonhardtParams                  # the inner (cavity) antiprism
     exterior: SchonhardtParams              # the outer antiprism
     vertical_shift: float = 0.0             # how far the cavity is sunk
-    cover: str = "ring"
 
     def __post_init__(self):
         if self.exterior.r <= self.hull.r:
             raise BadParams("exterior radius must exceed hull radius")
-        if self.cover != "ring":
-            raise BadParams(f"unknown cover recipe {self.cover!r}")
         if self.vertical_shift < 0:
             raise BadParams("vertical_shift must be >= 0")
 
@@ -261,10 +258,9 @@ def t_polyhedron(params: TPolyParams):
     bound a twisted cavity.  With vertical_shift = 0 the cavity mouth is
     coplanar with the outer top face.
 
-    Returns (surface, labels) where labels maps each vertex index to one of
-    "cover" / "hull" / "exterior"; in this recipe the cover's rim coincides
-    with the exterior hull's top triangle, so no vertex is exclusively a
-    cover vertex and the cover label set is empty.
+    Returns (surface, labels) where labels maps each vertex index to
+    "hull" (the inner antiprism) or "exterior" (the outer one); the cover
+    ring adds no vertex of its own.
     """
     outer = schonhardt_vertices(params.exterior)
     h_i = params.hull.h

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cayley_menger import EDGE_ORDER, TetraLengths, dihedral_angle, is_valid_tetra
-from .errors import OutOfDomain
+from .errors import NonPositiveLength, OutOfDomain
 from .geom import canonical_edge
 from .triangulation import Triangulation
 
@@ -72,7 +72,7 @@ def _valid_lengths(vals) -> bool:
     """True iff six lengths (EDGE_ORDER) form a non-degenerate tetrahedron."""
     try:
         return is_valid_tetra(TetraLengths.from_array(vals))
-    except Exception:
+    except NonPositiveLength:
         return False
 
 

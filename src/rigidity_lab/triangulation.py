@@ -23,8 +23,6 @@ from . import geom
 from .errors import InvalidSurface, InvalidTriangulation, TooManyVertices
 from .geom import PolyhedralSurface, ValidityReport, canonical_edge
 
-TOL_FILL = 1e-9  # relative volume-fill tolerance
-
 _TET_EDGES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
@@ -86,24 +84,22 @@ def tet_volume(pts) -> float:
     return float(np.linalg.det(np.array([p[1] - p[0], p[2] - p[0], p[3] - p[0]]))) / 6.0
 
 
-def tet_faces_outward(tet, points):
-    """The four faces of a tetra, each wound so its normal points outward."""
-    faces = []
-    for omit in range(4):
-        tri = [tet[i] for i in range(4) if i != omit]
-        other = tet[omit]
-        p = points
-        n = np.cross(p[tri[1]] - p[tri[0]], p[tri[2]] - p[tri[0]])
-        if np.dot(n, p[other] - p[tri[0]]) > 0:
-            tri = [tri[0], tri[2], tri[1]]
-        faces.append(tuple(tri))
-    return faces
-
-
 def _canon_oriented(tri):
     """Rotate an oriented triple so the smallest index comes first."""
     k = tri.index(min(tri))
     return (tri[k], tri[(k + 1) % 3], tri[(k + 2) % 3])
+
+
+def outward_faces(tet, positive: bool):
+    """The four faces of a tetrahedron, each wound so its normal points out.
+
+    For (a, b, c, d) with det(b - a, c - a, d - a) > 0 they are (b, c, d),
+    (a, c, b), (a, b, d) and (a, d, c); ``positive`` False means the
+    determinant is negative, and then a and b swap roles.  Each face is
+    rotated so its smallest index comes first.
+    """
+    a, b, c, d = tet if positive else (tet[1], tet[0], tet[2], tet[3])
+    return [_canon_oriented(f) for f in ((b, c, d), (a, c, b), (a, b, d), (a, d, c))]
 
 
 # -- point / surface classification ---------------------------------------
@@ -306,7 +302,20 @@ def tet_admissible(s: PolyhedralSurface, tets, tol: float = geom.TOL_GEOM):
 
 
 def tri_validate(t: Triangulation) -> ValidityReport:
-    """Check all triangulation invariants; violations become report entries."""
+    """Check all triangulation invariants; violations become report entries.
+
+    Once the surface, the point array and every tetrahedron's indices and
+    volume pass, one boundary-chain certificate stands in for any pairwise
+    test.  Every tetrahedron, oriented positively, contributes its four
+    ``outward_faces``, and these must add up, as signed oriented triangles,
+    to exactly the surface's faces; each face where the two chains differ
+    is a ``boundary-chain`` entry.  The surface is embedded, so every
+    generic point is then covered by as many tetrahedra as the surface
+    winds around it: once inside and never outside.  Hence the interiors
+    are disjoint, the volumes fill the surface, every surface face bounds
+    one tetrahedron, and tetrahedra meet face to face.  O(T) in the number
+    of tetrahedra.
+    """
     rep = ValidityReport()
     srep = t.surface.validate()
     if not srep.ok:
@@ -321,43 +330,33 @@ def tri_validate(t: Triangulation) -> ValidityReport:
         rep.add("points-mismatch", "points must extend the surface vertex array")
         return rep
 
-    vols = []
     for ti, tet in enumerate(t.tetrahedra):
         if len(set(tet)) != 4 or any(i < 0 or i >= npts for i in tet):
             rep.add("bad-tet", f"tetra {tet} has bad indices", (ti,))
-            continue
-        v = tet_volume(pts[list(tet)])
-        if abs(v) <= geom.TOL_GEOM * scale**3:
-            rep.add("degenerate-tet", f"tetra {tet} has ~zero volume", (ti,))
-        vols.append(abs(v))
+    if not rep.ok:
+        return rep
+    tet_pts = pts[np.array(t.tetrahedra, dtype=int).reshape(-1, 4)]
+    vols = np.linalg.det(tet_pts[:, 1:] - tet_pts[:, :1]) / 6.0
+    for ti in np.flatnonzero(np.abs(vols) <= geom.TOL_GEOM * scale**3):
+        rep.add("degenerate-tet", f"tetra {t.tetrahedra[ti]} has ~zero volume",
+                (int(ti),))
     if not rep.ok:
         return rep
 
-    vol_surface = geom.volume(t.surface)
-    fill = sum(vols)
-    if abs(fill - vol_surface) > TOL_FILL * max(1.0, abs(vol_surface)):
-        rep.add("volume-fill",
-                f"tetra volumes sum to {fill}, surface volume {vol_surface}")
-
-    # One tetrahedron against all later ones at a time: the stacks stay
-    # O(T) while the pairs come out in combinations() order.
-    tet_pts = pts[np.array(t.tetrahedra, dtype=int).reshape(-1, 4)]
-    for i in range(len(t.tetrahedra) - 1):
-        disjoint = tets_interior_disjoint(tet_pts[i], tet_pts[i + 1:])
-        for j in i + 1 + np.flatnonzero(~disjoint):
-            ta, tb = t.tetrahedra[i], t.tetrahedra[j]
-            rep.add("overlap", f"tetrahedra {ta} and {tb} overlap", (i, int(j)))
-
-    face_count: dict[frozenset, int] = {}
-    for tet in t.tetrahedra:
-        for tri in combinations(tet, 3):
-            key = frozenset(tri)
-            face_count[key] = face_count.get(key, 0) + 1
-    for f in t.surface.faces:
-        cnt = face_count.get(frozenset(f), 0)
-        if cnt != 1:
-            rep.add("boundary-face",
-                    f"surface face {f} bounds {cnt} tetrahedra, expected 1", f)
+    # The chain maps each sorted vertex triple to its signed multiplicity.
+    faces = [(f, 1) for tet, vol in zip(t.tetrahedra, vols)
+             for f in outward_faces(tet, vol > 0)]
+    faces += [(_canon_oriented(f), -1) for f in t.surface.faces]
+    chain: dict[tuple, int] = {}
+    for (a, b, c), k in faces:
+        key, k = ((a, b, c), k) if b < c else ((a, c, b), -k)
+        chain[key] = chain.get(key, 0) + k
+    for (a, b, c), k in sorted(chain.items()):
+        if k:
+            face = (a, b, c) if k > 0 else (a, c, b)
+            rep.add("boundary-chain",
+                    f"oriented face {face} is left {abs(k)}x in the tetrahedra's "
+                    "outward faces minus the surface's", face)
     return rep
 
 
@@ -404,13 +403,12 @@ def find_decomposition(s: PolyhedralSurface, budget: int = 200_000,
     n_candidates = len(candidates)
 
     cand_pts = pts[np.array(candidates, dtype=int).reshape(-1, 4)]
+    signed = np.linalg.det(cand_pts[:, 1:] - cand_pts[:, :1]) / 6.0
+    volumes = np.abs(signed)
+    cand_faces = [outward_faces(tet, vol > 0)
+                  for tet, vol in zip(candidates, signed)]
     by_triangle: dict[tuple, list[int]] = {}
-    outward_faces = []
-    volumes = []
-    for ci, tet in enumerate(candidates):
-        faces = [_canon_oriented(f) for f in tet_faces_outward(tet, pts)]
-        outward_faces.append(faces)
-        volumes.append(abs(tet_volume(pts[list(tet)])))
+    for ci, faces in enumerate(cand_faces):
         for f in faces:
             by_triangle.setdefault(f, []).append(ci)
 
@@ -420,11 +418,11 @@ def find_decomposition(s: PolyhedralSurface, budget: int = 200_000,
 
     def place(ci, front_set):
         new_front = set(front_set)
-        for f in outward_faces[ci]:
+        for f in cand_faces[ci]:
             if f in new_front:
                 new_front.discard(f)
             else:
-                new_front.add(_canon_oriented((f[0], f[2], f[1])))
+                new_front.add((f[0], f[2], f[1]))
         return new_front
 
     def search(front_set, chosen):

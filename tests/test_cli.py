@@ -319,6 +319,20 @@ def test_short_points_is_invalid_triangulation(tmp_path, capsys):
     assert "points-mismatch" in err
 
 
+def test_non_conforming_tiling_is_invalid_triangulation(tmp_path, capsys):
+    # The octahedron tiled by two pyramids cut along different diagonals.
+    _, out, _ = run(capsys, "generate", "octahedron")
+    doc = json.loads(out)
+    doc["triangulation"] = [[0, 1, 2, 4], [0, 1, 3, 4], [2, 3, 0, 5],
+                            [2, 3, 1, 5]]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    rc, out, err = run(capsys, "analyze", str(path))
+    assert (rc, out) == (2, "")
+    assert err.startswith("InvalidTriangulation: ")
+    assert "boundary-chain" in err
+
+
 def test_generator_name_beats_file_of_that_name(tmp_path, capsys, monkeypatch):
     _, generated, _ = run(capsys, "analyze", "octahedron", "--json")
     monkeypatch.chdir(tmp_path)

@@ -125,7 +125,7 @@ def test_t_polyhedron_labels_and_validity():
     surface, labels = gen.t_polyhedron(params)
     assert surface_validate(surface).ok
     assert len(surface.vertices) == 12
-    assert set(labels.values()) <= {"cover", "hull", "exterior"}
+    assert set(labels.values()) == {"hull", "exterior"}
     assert sorted(labels) == list(range(12))
 
 

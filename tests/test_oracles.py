@@ -1,15 +1,18 @@
 """The fast paths against the straightforward algorithms they replace.
 
 The reference implementations below are kept here, in test code only:
-a per-pair separating-axis test, a finite-difference M_T that recomputes
-every total angle for every perturbation, high-precision differences of
-the dihedral-angle formula, and the per-candidate, per-point
-decomposition filter.  The fast paths must give the same verdicts and
-bitwise the same matrices; the exact M_T, which replaces a difference
-quotient by a derivative, must agree to a tolerance.
+a per-pair separating-axis test, the pairwise overlap, volume-fill and
+face-count validation that the boundary-chain certificate replaced, a
+finite-difference M_T that recomputes every total angle for every
+perturbation, high-precision differences of the dihedral-angle formula,
+and the per-candidate, per-point decomposition filter.  The fast paths
+must give the same verdicts and bitwise the same matrices; the exact M_T,
+which replaces a difference quotient by a derivative, must agree to a
+tolerance.
 """
 
 import math
+from collections import Counter
 from itertools import combinations
 
 import mpmath as mp
@@ -19,7 +22,7 @@ from scipy.spatial import ConvexHull
 
 from rigidity_lab import generators as gen
 from rigidity_lab import hilbert_einstein as he
-from rigidity_lab import geom
+from rigidity_lab import geom, triangulation
 from rigidity_lab.cayley_menger import EDGE_ORDER, dihedral_kernel
 from rigidity_lab.cli import analyze_surface
 from rigidity_lab.errors import OutOfDomain
@@ -36,6 +39,7 @@ from rigidity_lab.triangulation import (
     Triangulation,
     _tet_probe_points,
     classify_points,
+    fan_triangulation,
     find_decomposition,
     tet_admissible,
     tet_volume,
@@ -358,16 +362,60 @@ def test_batched_sat_matches_scalar_per_pair():
     assert tets_interior_disjoint(one, stack_b[:0]).shape == (0,)
 
 
-def test_overlap_report_matches_pairwise_oracle():
-    s = gen.octahedron()
-    tets = [(0, 2, 4, 5), (2, 1, 4, 5), (1, 3, 4, 5), (3, 0, 4, 5),
-            (0, 2, 4, 5), (0, 2, 3, 4), (1, 2, 3, 5)]
-    t = Triangulation(s, tets)
-    pts = t.points
-    expected = [(i, j) for (i, ta), (j, tb) in combinations(enumerate(tets), 2)
-                if not scalar_tets_interior_disjoint(pts[list(ta)], pts[list(tb)])]
-    got = [v.where for v in tri_validate(t).violations if v.tag == "overlap"]
-    assert expected and got == expected
+def pairwise_tri_ok(t: Triangulation) -> bool:
+    """The checks the boundary-chain certificate replaced: no degenerate
+    tetrahedron, no two tetrahedra overlap, their volumes add up to the
+    surface's, and every surface face bounds exactly one of them."""
+    pts = t.points[np.array(t.tetrahedra, dtype=int).reshape(-1, 4)]
+    vols = [abs(tet_volume(p)) for p in pts]
+    if min(vols) <= geom.TOL_GEOM * geom.coord_scale(t.points)**3:
+        return False
+    if not all(np.all(tets_interior_disjoint(pts[i], pts[i + 1:]))
+               for i in range(len(pts))):
+        return False
+    vol = geom.volume(t.surface)
+    if abs(sum(vols) - vol) > 1e-9 * max(1.0, abs(vol)):
+        return False
+    count = Counter(frozenset(f) for tet in t.tetrahedra
+                    for f in combinations(tet, 3))
+    return all(count[frozenset(f)] == 1 for f in t.surface.faces)
+
+
+def _fan_suite():
+    """The fan from every apex of seeded 8- to 24-vertex hulls, Schonhardt
+    polyhedra, T-polyhedra and the fixed generators, then the generators'
+    own triangulations with one tetrahedron duplicated or missing."""
+    rng = np.random.default_rng(7)
+    surfaces = [PolyhedralSurface(p, [tuple(int(i) for i in f)
+                                      for f in ConvexHull(p).simplices])
+                for p in (_sphere_points(rng, n) for n in (8, 12, 16, 20, 24))]
+    surfaces += [gen.schonhardt(gen.SchonhardtParams(0.1 * k, 1.0, 2.0))
+                 for k in range(11)]
+    surfaces += [_tpoly(0.1 * k) for k in range(11)]
+    surfaces += [gen.octahedron(), gen.cube_with_flat_vertex()]
+    for depth in (None, 0.5, 1.0, 1.4):
+        surfaces += gen.pushed_vertex_pair(depth)
+    for s in surfaces:
+        for apex in range(len(s.vertices)):
+            yield fan_triangulation(s, apex)
+    for t in _criterion10_triangulations():
+        yield t
+        yield Triangulation(t.surface, t.tetrahedra + t.tetrahedra[:1], t.points)
+        yield Triangulation(t.surface, t.tetrahedra[1:], t.points)
+
+
+def test_chain_certificate_matches_pairwise_oracle():
+    verdicts = []
+    for t in _fan_suite():
+        ok = tri_validate(t).ok
+        assert ok == pairwise_tri_ok(t), t.tetrahedra
+        verdicts.append(ok)
+    assert len(verdicts) > 300 and 0 < sum(verdicts) < len(verdicts)
+    # The one tiling the pairwise checks accept and the chain rejects: two
+    # pyramids cut along different diagonals do not meet face to face.
+    t = Triangulation(gen.octahedron(), [(0, 1, 2, 4), (0, 1, 3, 4),
+                                         (2, 3, 0, 5), (2, 3, 1, 5)])
+    assert pairwise_tri_ok(t) and not tri_validate(t).ok
 
 
 # -- decomposition candidate filter ---------------------------------------
@@ -543,3 +591,22 @@ def test_analysis_solves_extremality_once(monkeypatch):
     assert report["census"] == {"m": 0, "k": 1}
     assert report["weakly_convex"]["overall"] is False
     assert calls == [len(t.surface.vertices)]
+
+
+def test_analysis_of_a_valid_triangulation_runs_no_separating_axis_test(
+        monkeypatch):
+    calls = []
+    real = triangulation.tets_interior_disjoint
+
+    def counting(pa, pb, tol=geom.TOL_GEOM):
+        calls.append(1)
+        return real(pa, pb, tol)
+
+    monkeypatch.setattr(triangulation, "tets_interior_disjoint", counting)
+    for t in (gen.cube_flat_triangulation(), _hull24_fan()):
+        report = analyze_surface(t.surface, t)
+        assert report["decomposition"]["kind"] == "triangulation"
+    assert calls == []
+    # The search still prunes with it.
+    assert isinstance(find_decomposition(_tpoly(0.7)), Triangulation)
+    assert calls

@@ -89,7 +89,20 @@ def test_overlapping_tets_are_reported():
                           (3, 0, 4, 5), (0, 2, 4, 5)])
     report = t.validate()
     assert not report.ok
-    assert any(v.tag == "overlap" for v in report.violations)
+    assert any(v.tag == "boundary-chain" for v in report.violations)
+
+
+def test_non_conforming_tiling_is_rejected():
+    # Two square pyramids cut along different diagonals: the interiors are
+    # disjoint and the volumes fill the octahedron, but the pyramids meet
+    # in two triangles each that do not match, so the total angle around
+    # the diagonals (0, 1) and (2, 3) is pi, not 2 pi.
+    t = Triangulation(gen.octahedron(), [(0, 1, 2, 4), (0, 1, 3, 4),
+                                         (2, 3, 0, 5), (2, 3, 1, 5)])
+    report = t.validate()
+    assert {v.tag for v in report.violations} == {"boundary-chain"}
+    assert sorted(sorted(v.where) for v in report.violations) == [
+        [0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]
 
 
 def test_degenerate_tet_is_reported():
