@@ -30,6 +30,7 @@ class DeformationBasis:
     basis: np.ndarray         # (nullity, 3|V|), orthonormal rows
     trivial_dim: int
     spectral_gap: float       # smallest kept sv / largest dropped sv
+    singular_values: np.ndarray  # of the rigidity matrix, decreasing
 
     @property
     def nontrivial_dim(self) -> int:
@@ -98,7 +99,7 @@ def deformation_space(s: PolyhedralSurface, tol_sv: float = TOL_SV):
     trivial_dim = int(np.sum(gram_eig > TOL_TRIVIAL * scale))
 
     d = DeformationBasis(nullity=nullity, basis=basis, trivial_dim=trivial_dim,
-                         spectral_gap=gap)
+                         spectral_gap=gap, singular_values=sv)
     evidence = {
         "path": "deformation-nullspace",
         "nullity": nullity,

@@ -3,7 +3,9 @@
 Vertices are plain ``(n, 3)`` float arrays.  Surfaces are sphere-topology
 triangle meshes with outward-oriented faces; orientation is normalized at
 ingestion (consistent winding by region growing, then a global flip if the
-signed volume comes out negative).
+signed volume comes out negative).  Weak convexity (every vertex extreme)
+and flatness (on the hull boundary, not extreme) are read off one Qhull
+convex hull of the vertices.
 """
 
 from __future__ import annotations
@@ -11,15 +13,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.spatial import ConvexHull
+from scipy.spatial import ConvexHull, QhullError
 
 from .errors import DegenerateVertexSet, InvalidSurface
 
 # Degeneracy tolerance on unit-scale inputs; predicates rescale it by the
 # coordinate magnitude raised to the quantity's length dimension.
 TOL_GEOM = 1e-9
-# Tolerance for the hull-extremality linear feasibility solve.
+# Distance, on unit-scale inputs, that a point must lie outside the hull of
+# the others to be extreme, or within the hull's planes to be on its boundary.
 TOL_HULL = 1e-9
 
 
@@ -136,7 +138,7 @@ class PolyhedralSurface:
                 pass  # leave as given; surface_validate will report it
         self.faces = faces
         self._report: ValidityReport | None = None
-        self._extreme: dict[float, np.ndarray] = {}
+        self._hull_masks: tuple[np.ndarray, np.ndarray] | None = None
 
     def _faces_indexable(self, faces) -> bool:
         n = len(self.vertices)
@@ -148,19 +150,24 @@ class PolyhedralSurface:
         es = {canonical_edge(f[k], f[(k + 1) % 3]) for f in self.faces for k in range(3)}
         return sorted(es)
 
-    def extreme_mask(self, tol: float = TOL_HULL) -> np.ndarray:
-        """``extreme_vertex_mask`` of the vertices, solved once per surface
-        and tolerance (n linear programs); the cached array is read-only."""
-        if tol not in self._extreme:
-            mask = extreme_vertex_mask(self.vertices, tol=tol)
-            mask.setflags(write=False)
-            self._extreme[tol] = mask
-        return self._extreme[tol]
+    def _masks(self) -> tuple[np.ndarray, np.ndarray]:
+        """``hull_masks`` of the vertices, computed once per surface; the
+        cached arrays are read-only."""
+        if self._hull_masks is None:
+            self._hull_masks = hull_masks(self.vertices)
+            for mask in self._hull_masks:
+                mask.setflags(write=False)
+        return self._hull_masks
 
-    def flat_mask(self, tol: float = TOL_HULL) -> np.ndarray:
+    def extreme_mask(self) -> np.ndarray:
+        """True where a vertex is an extreme point of the vertices' hull."""
+        return self._masks()[0]
+
+    def flat_mask(self) -> np.ndarray:
         """True where a vertex lies on the hull boundary without being
-        extreme; uses the cached extreme mask."""
-        return hull_boundary_mask(self.vertices, tol=tol) & ~self.extreme_mask(tol)
+        extreme."""
+        extreme, boundary = self._masks()
+        return boundary & ~extreme
 
     def validate(self) -> ValidityReport:
         if self._report is None:
@@ -242,7 +249,49 @@ def surface_validate(s: PolyhedralSurface) -> ValidityReport:
     euler = n - n_edges + len(s.faces)
     if euler != 2:
         rep.add("euler", f"V - E + F = {euler}, expected 2 (sphere)")
+    if not rep.ok:
+        return rep
+
+    vol = _signed_volume(v, s.faces)
+    if abs(vol) <= TOL_GEOM * scale**3:
+        rep.add("degenerate-volume", f"signed volume {vol:.3g} is ~zero")
+    # Embedding: no edge properly crosses a face it shares no vertex with.
+    # Contacts at a shared vertex and coplanar overlaps are not tested.
+    edges = np.array(s.edges)
+    faces = np.array(s.faces)
+    shared = (edges[:, None, :, None] == faces[None, :, None, :]).any(axis=(2, 3))
+    cross = segments_cross_faces(v[edges[:, 0]], v[edges[:, 1]], v[faces])
+    for ei, fi in zip(*np.nonzero(cross & ~shared)):
+        e = tuple(int(i) for i in edges[ei])
+        rep.add("self-intersection", f"edge {e} crosses face {s.faces[fi]}", e)
     return rep
+
+
+def segments_cross_faces(p0, p1, tri) -> np.ndarray:
+    """(K, 3) segments against (F, 3, 3) triangles -> (K, F) bool: True
+    where the interior of the segment properly crosses the interior of the
+    triangle, each barycentric coordinate clearing 1e-9.
+
+    Moeller-Trumbore in barycentric form, for all pairs in one pass; a
+    segment parallel to a triangle (|det| < 1e-14) never crosses it.
+    """
+    tol = 1e-9
+    a = tri[:, 0]
+    e1, e2 = tri[:, 1] - a, tri[:, 2] - a
+    d = (p1 - p0)[:, None, :]                      # (K, 1, 3)
+    h = np.cross(d, e2)                            # (K, F, 3)
+    det = np.sum(e1 * h, axis=-1)
+    sv = p0[:, None, :] - a
+    q = np.cross(sv, e1)
+    # Parallel pairs divide by zero; the mask discards their quotients.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv = 1.0 / det
+        u = inv * np.sum(sv * h, axis=-1)
+        v = inv * np.sum(d * q, axis=-1)
+        t = inv * np.sum(e2 * q, axis=-1)
+        return ((np.abs(det) >= 1e-14) & (u > tol) & (u < 1 - tol)
+                & (v > tol) & (v < 1 - tol) & (u + v < 1 - tol)
+                & (t > tol) & (t < 1 - tol))
 
 
 def volume(s: PolyhedralSurface) -> float:
@@ -251,65 +300,52 @@ def volume(s: PolyhedralSurface) -> float:
     return _signed_volume(s.vertices, s.faces)
 
 
-def extreme_vertex_mask(points, tol: float = TOL_HULL):
-    """True where a point is an extreme point of the convex hull of all points.
+def _hull_excess(hull: ConvexHull, points) -> np.ndarray:
+    """Largest signed facet-plane value of each point: > 0 outside the hull."""
+    return np.max(points @ hull.equations[:, :3].T + hull.equations[:, 3], axis=1)
 
-    Decided per point by a small linear-feasibility solve: the point is
-    non-extreme iff it is (within tol * scale) a convex combination of the
-    remaining points.
+
+def hull_masks(points) -> tuple[np.ndarray, np.ndarray]:
+    """``(extreme, boundary)`` masks of the points, from one Qhull hull of
+    all of them; DegenerateVertexSet when they span no 3-D hull.
+
+    A point is extreme when it is a vertex of that hull and lies more than
+    TOL_HULL * scale outside the hull of the other points (or those span no
+    3-D hull).  It is on the boundary when no facet plane of the hull has
+    it more than TOL_HULL * scale inside.
     """
     pts = np.asarray(points, dtype=float)
-    n = len(pts)
-    scale = coord_scale(pts)
-    mask = np.zeros(n, dtype=bool)
-    for i in range(n):
-        others = np.delete(pts, i, axis=0)
-        m = len(others)
-        # Variables (lambda_1..lambda_m, t): minimize t subject to
-        # |others^T lambda - p_i|_inf <= t, sum lambda = 1, lambda >= 0.
-        c = np.zeros(m + 1)
-        c[-1] = 1.0
-        a_ub = np.zeros((6, m + 1))
-        b_ub = np.zeros(6)
-        for k in range(3):
-            a_ub[k, :m] = others[:, k]
-            a_ub[k, m] = -1.0
-            b_ub[k] = pts[i, k]
-            a_ub[3 + k, :m] = -others[:, k]
-            a_ub[3 + k, m] = -1.0
-            b_ub[3 + k] = -pts[i, k]
-        a_eq = np.zeros((1, m + 1))
-        a_eq[0, :m] = 1.0
-        res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=[1.0],
-                      bounds=[(0, None)] * m + [(0, None)], method="highs")
-        if not res.success:
-            mask[i] = True  # infeasible: cannot be expressed, hence extreme
-        else:
-            mask[i] = res.fun > tol * scale
-    return mask
-
-
-def hull_boundary_mask(points, tol: float = TOL_HULL):
-    """True where a point lies on the boundary of the convex hull."""
-    pts = np.asarray(points, dtype=float)
-    scale = coord_scale(pts)
+    tol = TOL_HULL * coord_scale(pts)
     try:
         hull = ConvexHull(pts)
-    except Exception as exc:  # degenerate (flat) vertex sets
+    except (QhullError, ValueError) as exc:  # flat or too few points
         raise DegenerateVertexSet(f"convex hull failed: {exc}") from exc
-    a = hull.equations[:, :3]
-    b = hull.equations[:, 3]
-    vals = pts @ a.T + b  # <= 0 inside
-    return np.max(vals, axis=1) >= -tol * scale
+    extreme = np.zeros(len(pts), dtype=bool)
+    for i in hull.vertices:
+        try:
+            others = ConvexHull(np.delete(pts, i, axis=0))
+        except QhullError:
+            extreme[i] = True
+            continue
+        extreme[i] = _hull_excess(others, pts[i:i + 1])[0] > tol
+    return extreme, _hull_excess(hull, pts) >= -tol
 
 
-def is_weakly_convex(s: PolyhedralSurface, tol: float = TOL_HULL):
+def extreme_vertex_mask(points) -> np.ndarray:
+    """True where a point is an extreme point of the convex hull of all
+    points (see ``hull_masks``)."""
+    return hull_masks(points)[0]
+
+
+def is_weakly_convex(s: PolyhedralSurface):
     """Per-vertex hull extremality plus the overall verdict.
 
     A vertex is weakly-convex-admissible iff it is an extreme point of the
     convex hull of all vertices (equivalent to the supporting-plane
-    definition for finite vertex sets).
+    definition for finite vertex sets), decided from Qhull's hull as in
+    ``hull_masks``.  A flat surface fails validation (``degenerate-volume``)
+    before any hull is built.
     """
     s.require_valid()
-    mask = s.extreme_mask(tol)
+    mask = s.extreme_mask()
     return mask, bool(np.all(mask))

@@ -8,9 +8,7 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
-from .deformation import deformation_space, rigidity_matrix
+from .deformation import deformation_space
 from .geom import PolyhedralSurface, is_weakly_convex
 from .stiffness import (
     DEFAULT_SCHEME,
@@ -131,12 +129,11 @@ def sweep_evidence(s: PolyhedralSurface, t: Triangulation | None,
     row["decomposable"] = isinstance(outcome, Triangulation)
 
     basis, verdict = deformation_space(s)
-    r_matrix = np.linalg.svd(rigidity_matrix(s).matrix, compute_uv=False)
-    ncols = 3 * len(s.vertices)
     # Smallest nontrivial singular value: the (3V-7)-th in decreasing order
-    # (six trivial motions always lie in the null space).
-    svals = np.concatenate([r_matrix, np.zeros(max(0, ncols - len(r_matrix)))])
-    row["smallest_nontrivial_sv"] = float(svals[ncols - 7])
+    # (six trivial motions always lie in the null space); 0 when the matrix
+    # has fewer rows.
+    sv, k = basis.singular_values, 3 * len(s.vertices) - 7
+    row["smallest_nontrivial_sv"] = float(sv[k]) if k < len(sv) else 0.0
     row["nullity"] = basis.nullity
     row["verdict"] = verdict.kind.value
     row["flexible"] = verdict.kind.value == "Flexible"

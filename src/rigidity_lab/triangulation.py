@@ -168,80 +168,10 @@ def classify_point(s: PolyhedralSurface, p, tol: float = geom.TOL_GEOM) -> int:
     return int(classify_points(s, np.reshape(p, (1, 3)), tol)[0])
 
 
-# -- tetra-tetra interior disjointness (separating axis test) -------------
-
 # Vertex triples of the four faces; face k omits vertex k.
 _TET_FACES = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
 _EDGE_TAIL = [i for i, _ in _TET_EDGES]
 _EDGE_HEAD = [j for _, j in _TET_EDGES]
-
-
-def _face_normals(p):
-    """(..., 4, 3) tetrahedra -> (..., 4, 3) unnormalised face normals."""
-    tri = p[..., _TET_FACES, :]
-    return np.cross(tri[..., 1, :] - tri[..., 0, :], tri[..., 2, :] - tri[..., 0, :])
-
-
-def tets_interior_disjoint(pa, pb, tol: float = geom.TOL_GEOM):
-    """Separating-axis test: True where the two tetrahedra's interiors are
-    disjoint.
-
-    ``pa`` and ``pb`` are (4, 3) vertex arrays or stacks (..., 4, 3) that
-    broadcast against each other; the result is a bool for one pair and a
-    bool array of the broadcast stack shape otherwise.  The 44 candidate
-    axes of a pair are its 8 face normals and the 36 cross products of one
-    edge of each; an axis shorter than ``tol`` times the pair's coordinate
-    scale is skipped, and projections that overlap by no more than that
-    much count as separated, so tetrahedra sharing a face, an edge or a
-    vertex are disjoint.
-    """
-    pa, pb = np.broadcast_arrays(np.asarray(pa, dtype=float),
-                                 np.asarray(pb, dtype=float))
-    scale = np.maximum(1.0, np.max(np.abs(np.concatenate([pa, pb], axis=-2)),
-                                   axis=(-2, -1)))
-    ea = pa[..., _EDGE_HEAD, :] - pa[..., _EDGE_TAIL, :]
-    eb = pb[..., _EDGE_HEAD, :] - pb[..., _EDGE_TAIL, :]
-    cross = np.cross(ea[..., :, None, :], eb[..., None, :, :])
-    axes = np.concatenate([_face_normals(pa), _face_normals(pb),
-                           cross.reshape(cross.shape[:-3] + (36, 3))], axis=-2)
-    slack = (tol * scale)[..., None]
-    norm = np.linalg.norm(axes, axis=-1)
-    usable = norm > slack
-    axes = axes / np.where(usable, norm, 1.0)[..., None]
-    qa = pa @ np.swapaxes(axes, -1, -2)  # (..., 4 vertices, 44 axes)
-    qb = pb @ np.swapaxes(axes, -1, -2)
-    apart = ((qa.max(axis=-2) <= qb.min(axis=-2) + slack)
-             | (qb.max(axis=-2) <= qa.min(axis=-2) + slack))
-    disjoint = np.any(usable & apart, axis=-1)
-    return bool(disjoint) if disjoint.ndim == 0 else disjoint
-
-
-def _segments_cross_faces(p0, p1, s: PolyhedralSurface, tol):
-    """(K, 3) segments against every surface face -> (K,) bool: True where
-    the interior of the segment properly crosses the interior of a face.
-
-    Moeller-Trumbore in barycentric form; a segment parallel to a face
-    (|det| < 1e-14) never crosses it, since grazing contact is left to the
-    point samples.
-    """
-    f = s.vertices[np.asarray(s.faces)]            # (F, 3 vertices, 3)
-    a = f[:, 0]
-    e1, e2 = f[:, 1] - a, f[:, 2] - a
-    d = (p1 - p0)[:, None, :]                      # (K, 1, 3)
-    h = np.cross(d, e2)                            # (K, F, 3)
-    det = np.sum(e1 * h, axis=-1)
-    sv = p0[:, None, :] - a
-    q = np.cross(sv, e1)
-    # Parallel pairs divide by zero; the mask discards their quotients.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv = 1.0 / det
-        u = inv * np.sum(sv * h, axis=-1)
-        v = inv * np.sum(d * q, axis=-1)
-        t = inv * np.sum(e2 * q, axis=-1)
-        crosses = ((np.abs(det) >= 1e-14) & (u > tol) & (u < 1 - tol)
-                   & (v > tol) & (v < 1 - tol) & (u + v < 1 - tol)
-                   & (t > tol) & (t < 1 - tol))
-    return crosses.any(axis=1)
 
 
 # -- decomposition search --------------------------------------------------
@@ -295,8 +225,8 @@ def tet_admissible(s: PolyhedralSurface, tets, tol: float = geom.TOL_GEOM):
         surface_edge[i, j] = surface_edge[j, i] = True
     tail, head = idx[live][:, _EDGE_TAIL], idx[live][:, _EDGE_HEAD]
     owner, edge = np.nonzero(~surface_edge[tail, head])
-    crossing = _segments_cross_faces(v[tail[owner, edge]], v[head[owner, edge]],
-                                     s, 1e-9)
+    crossing = geom.segments_cross_faces(v[tail[owner, edge]], v[head[owner, edge]],
+                                         v[np.asarray(s.faces)]).any(axis=1)
     ok[live[owner[crossing]]] = False
     return bool(ok[0]) if tets.ndim == 1 else ok
 
@@ -381,7 +311,9 @@ def find_decomposition(s: PolyhedralSurface, budget: int = 200_000,
 
     The fan from vertex 0 is tried first.  Otherwise one ``tet_admissible``
     call filters all 4-subsets of the vertices at once, and a backtracking
-    search fills the surface's front with admissible candidates.
+    search fills the surface's front with admissible candidates.  Overlaps
+    are not pruned: when the front empties, ``tri_validate``'s boundary
+    chain accepts the fill only if the tetrahedra tile the surface.
 
     Returns a validated Triangulation, or NonDecomposable when the candidate
     space is exhausted, or BudgetExceeded when the node budget runs out.
@@ -441,8 +373,6 @@ def find_decomposition(s: PolyhedralSurface, budget: int = 200_000,
                 if ci not in chosen]
         opts.sort(key=lambda ci: -volumes[ci])
         for ci in opts:
-            if not np.all(tets_interior_disjoint(cand_pts[ci], cand_pts[chosen])):
-                continue
             status = search(place(ci, front_set), chosen + [ci])
             if status in ("found", "budget"):
                 return status

@@ -2,18 +2,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.spatial.transform import Rotation
 
 from rigidity_lab import generators as gen
-from rigidity_lab.errors import InvalidSurface
+from rigidity_lab.errors import DegenerateVertexSet, InvalidSurface
 from rigidity_lab.geom import (
     PolyhedralSurface,
     canonical_edge,
     extreme_vertex_mask,
+    hull_masks,
     is_weakly_convex,
     orientation,
     surface_validate,
     volume,
 )
+from rigidity_lab.pipeline import analyze_surface, decompose
 
 
 def test_octahedron_is_valid_closed_surface():
@@ -113,3 +117,87 @@ def test_extreme_vertex_mask_interior_point():
     pts = np.vstack([gen.octahedron().vertices, [[0.0, 0.0, 0.0]]])
     mask = extreme_vertex_mask(pts)
     assert list(mask) == [True] * 6 + [False]
+
+
+def _pushed_cube(d, scale=1.0):
+    """The flat-vertex cube with its face-centre vertex pushed out by d,
+    then scaled."""
+    s = gen.cube_with_flat_vertex()
+    v = s.vertices.copy()
+    v[8, 2] += d
+    return PolyhedralSurface(scale * v, s.faces)
+
+
+def _mask_cases():
+    """Point sets whose extremality and flatness margins are far above the
+    tolerance: generator vertex sets, a sphere set with interior points,
+    and the flat-vertex cube with its centre vertex pushed out by 1e-3."""
+    yield gen.octahedron().vertices
+    yield gen.cube_with_flat_vertex().vertices
+    yield _pushed_cube(1e-3).vertices
+    yield gen.schonhardt(gen.SchonhardtParams(0.4, 1.0, 2.0)).vertices
+    yield from (s.vertices for s in gen.pushed_vertex_pair(1.0))
+    rng = np.random.default_rng(4)
+    p = rng.standard_normal((16, 3))
+    yield np.vstack([p / np.linalg.norm(p, axis=1)[:, None],
+                     0.5 * rng.uniform(-1, 1, (4, 3))])
+
+
+_CASES = [(p, hull_masks(p)) for p in _mask_cases()]
+_UNIT = st.floats(-1.0, 1.0)
+_COORD = st.floats(-10.0, 10.0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(quat=st.tuples(_UNIT, _UNIT, _UNIT, _UNIT).filter(
+           lambda q: np.linalg.norm(q) > 0.1),
+       shift=st.tuples(_COORD, _COORD, _COORD),
+       scale=st.floats(1.0, 1e3),
+       data=st.data())
+def test_hull_masks_invariant_under_similarity_and_relabelling(quat, shift,
+                                                               scale, data):
+    rotation = Rotation.from_quat(quat).as_matrix()
+    for p, (extreme, boundary) in _CASES:
+        perm = np.array(data.draw(st.permutations(range(len(p)))))
+        moved = np.empty_like(p)
+        moved[perm] = scale * p @ rotation.T + np.asarray(shift)
+        got_extreme, got_boundary = hull_masks(moved)
+        assert np.array_equal(got_extreme[perm], extreme)
+        assert np.array_equal(got_boundary[perm], boundary)
+    # The band case, under scaling alone (translation and rotation change
+    # the coordinate scale that the tolerance follows): TOL_HULL * scale
+    # decides, so 2e-9 of the scale outside the hull of the others is
+    # extreme and 5e-10 is flat.
+    for s in (1.0, 1e3, scale):
+        pushed, near = _pushed_cube(2e-9, s), _pushed_cube(5e-10, s)
+        assert pushed.extreme_mask().all() and not pushed.flat_mask().any()
+        assert list(near.extreme_mask()) == [True] * 8 + [False]
+        assert list(near.flat_mask()) == [False] * 8 + [True]
+
+
+def test_flat_vertex_set_has_no_hull():
+    flat = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                     [1.0, 1.0, 0.0]])
+    with pytest.raises(DegenerateVertexSet):
+        extreme_vertex_mask(flat)
+
+
+def test_crossing_octahedron_is_reported():
+    base = gen.octahedron()
+    v = base.vertices.copy()
+    v[0] = (-1.022, 1.731, -1.181)
+    s = PolyhedralSurface(v, base.faces)
+    report = surface_validate(s)
+    crossing = [x.where for x in report.violations if x.tag == "self-intersection"]
+    assert crossing == [(0, 3), (1, 2)]
+    assert analyze_surface(s)["validity"]["ok"] is False
+
+
+def test_doubly_covered_triangle_is_reported():
+    s = PolyhedralSurface(np.eye(3), [(0, 1, 2), (0, 2, 1)])
+    report = surface_validate(s)
+    assert [x.tag for x in report.violations] == ["degenerate-volume"]
+    with pytest.raises(InvalidSurface):
+        decompose(s)
+    with pytest.raises(InvalidSurface):
+        is_weakly_convex(s)

@@ -1,13 +1,14 @@
 """The fast paths against the straightforward algorithms they replace.
 
 The reference implementations below are kept here, in test code only:
-a per-pair separating-axis test, the pairwise overlap, volume-fill and
+the pairwise overlap (a per-pair separating-axis test), volume-fill and
 face-count validation that the boundary-chain certificate replaced, a
 finite-difference M_T that recomputes every total angle for every
 perturbation, high-precision differences of the dihedral-angle formula,
-and the per-candidate, per-point decomposition filter.  The fast paths
-must give the same verdicts and bitwise the same matrices; the exact M_T,
-which replaces a difference quotient by a derivative, must agree to a
+the per-candidate, per-point decomposition filter, and the per-vertex
+linear program that decided hull extremality before Qhull did.  The fast
+paths must give the same verdicts and bitwise the same matrices; the exact
+M_T, which replaces a difference quotient by a derivative, must agree to a
 tolerance.
 """
 
@@ -18,11 +19,12 @@ from itertools import combinations
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 from scipy.spatial import ConvexHull
 
 from rigidity_lab import generators as gen
 from rigidity_lab import hilbert_einstein as he
-from rigidity_lab import geom, triangulation
+from rigidity_lab import geom
 from rigidity_lab.cayley_menger import EDGE_ORDER, dihedral_kernel
 from rigidity_lab.cli import analyze_surface
 from rigidity_lab.errors import OutOfDomain
@@ -43,7 +45,6 @@ from rigidity_lab.triangulation import (
     find_decomposition,
     tet_admissible,
     tet_volume,
-    tets_interior_disjoint,
     tri_validate,
 )
 
@@ -53,28 +54,31 @@ _TET_EDGES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 # -- reference implementations --------------------------------------------
 
 def scalar_tets_interior_disjoint(pa, pb, tol=geom.TOL_GEOM) -> bool:
-    """One pair at a time, one axis at a time."""
+    """One pair at a time, one axis at a time: the 8 face normals, then the
+    36 cross products of one edge of each; an axis shorter than tol * scale
+    is skipped, and projections that overlap by no more than that count as
+    separated, so tetrahedra sharing a face, an edge or a vertex are
+    disjoint."""
     pa = np.asarray(pa, dtype=float)
     pb = np.asarray(pb, dtype=float)
-    scale = geom.coord_scale(np.vstack([pa, pb]))
-    axes = []
-    for pts in (pa, pb):
-        for omit in range(4):
-            tri = np.delete(pts, omit, axis=0)
-            axes.append(np.cross(tri[1] - tri[0], tri[2] - tri[0]))
-    ea = [pa[j] - pa[i] for i, j in _TET_EDGES]
-    eb = [pb[j] - pb[i] for i, j in _TET_EDGES]
-    for u in ea:
-        for w in eb:
-            axes.append(np.cross(u, w))
-    for ax in axes:
+    slack = tol * geom.coord_scale(np.vstack([pa, pb]))
+
+    def axes():
+        for pts in (pa, pb):
+            for omit in range(4):
+                tri = np.delete(pts, omit, axis=0)
+                yield np.cross(tri[1] - tri[0], tri[2] - tri[0])
+        for i, j in _TET_EDGES:
+            for k, l in _TET_EDGES:
+                yield np.cross(pa[j] - pa[i], pb[l] - pb[k])
+
+    for ax in axes():
         norm = np.linalg.norm(ax)
-        if norm <= tol * scale:
+        if norm <= slack:
             continue
-        ax = ax / norm
-        qa = pa @ ax
-        qb = pb @ ax
-        if qa.max() <= qb.min() + tol * scale or qb.max() <= qa.min() + tol * scale:
+        qa = pa @ (ax / norm)
+        qb = pb @ (ax / norm)
+        if qa.max() <= qb.min() + slack or qb.max() <= qa.min() + slack:
             return True
     return False
 
@@ -249,6 +253,39 @@ def scalar_tet_admissible(s, tet, tol=geom.TOL_GEOM,
     return True
 
 
+def lp_extreme_mask(points, tol=geom.TOL_HULL):
+    """One linear program per point: the point is not extreme iff it is
+    (within tol * scale, in the max norm) a convex combination of the
+    others.  HiGHS's own feasibility tolerance (about 1e-7) blurs the
+    decision below that, so the comparison stays away from the band."""
+    pts = np.asarray(points, dtype=float)
+    n = len(pts)
+    scale = geom.coord_scale(pts)
+    mask = np.zeros(n, dtype=bool)
+    for i in range(n):
+        others = np.delete(pts, i, axis=0)
+        m = len(others)
+        # Variables (lambda_1..lambda_m, t): minimize t subject to
+        # |others^T lambda - p_i|_inf <= t, sum lambda = 1, lambda >= 0.
+        c = np.zeros(m + 1)
+        c[-1] = 1.0
+        a_ub = np.zeros((6, m + 1))
+        b_ub = np.zeros(6)
+        for k in range(3):
+            a_ub[k, :m] = others[:, k]
+            a_ub[k, m] = -1.0
+            b_ub[k] = pts[i, k]
+            a_ub[3 + k, :m] = -others[:, k]
+            a_ub[3 + k, m] = -1.0
+            b_ub[3 + k] = -pts[i, k]
+        a_eq = np.zeros((1, m + 1))
+        a_eq[0, :m] = 1.0
+        res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=[1.0],
+                      bounds=[(0, None)] * (m + 1), method="highs")
+        mask[i] = not res.success or res.fun > tol * scale
+    return mask
+
+
 # -- inputs ---------------------------------------------------------------
 
 def _sphere_points(rng, n):
@@ -318,50 +355,6 @@ def _criterion10_triangulations():
         yield outcome
 
 
-def _tet_pairs():
-    """Seeded random pairs plus pairs that touch, overlap or nearly
-    degenerate."""
-    rng = np.random.default_rng(11)
-    pairs = [(rng.uniform(-1, 1, (4, 3)), rng.uniform(-1, 1, (4, 3)))
-             for _ in range(300)]
-    for _ in range(40):
-        a = rng.uniform(-2, 2, (4, 3))
-        normal = np.cross(a[1] - a[0], a[2] - a[0])
-        side = np.sign(np.dot(normal, a[3] - a[0]))
-        beyond = a[:3].mean(axis=0) - side * rng.uniform(0.1, 1) * normal
-        within = a[:3].mean(axis=0) + side * rng.uniform(0.1, 1) * normal
-        pairs.append((a, np.vstack([a[:3], beyond])))   # shared face, apart
-        pairs.append((a, np.vstack([a[:3], within])))   # shared face, overlap
-        pairs.append((a, np.vstack([a[:2], a[:2].mean(axis=0)
-                                    + rng.normal(size=(2, 3))])))  # edge
-        pairs.append((a, np.vstack([a[:1], a[0] + rng.normal(size=(3, 3))])))
-        pairs.append((a, a + rng.normal(scale=1e-3, size=(4, 3))))  # overlap
-        flat = a.copy()
-        flat[3] = a[:3].mean(axis=0) + 1e-10 * normal        # near-degenerate
-        pairs.append((flat, rng.uniform(-2, 2, (4, 3))))
-        pairs.append((a, 10.0 * a))                           # scaled copy
-    return pairs
-
-
-# -- separating-axis test -------------------------------------------------
-
-def test_batched_sat_matches_scalar_per_pair():
-    pairs = _tet_pairs()
-    expected = [scalar_tets_interior_disjoint(a, b) for a, b in pairs]
-    assert 0 < sum(expected) < len(expected)
-    assert [tets_interior_disjoint(a, b) for a, b in pairs] == expected
-    for a, b in pairs:
-        assert isinstance(tets_interior_disjoint(a, b), bool)
-    stack_a = np.array([a for a, _ in pairs])
-    stack_b = np.array([b for _, b in pairs])
-    assert list(tets_interior_disjoint(stack_a, stack_b)) == expected
-    # One tetrahedron against a stack, as tri_validate calls it.
-    one = pairs[0][0]
-    assert list(tets_interior_disjoint(one, stack_b)) == [
-        scalar_tets_interior_disjoint(one, b) for b in stack_b]
-    assert tets_interior_disjoint(one, stack_b[:0]).shape == (0,)
-
-
 def pairwise_tri_ok(t: Triangulation) -> bool:
     """The checks the boundary-chain certificate replaced: no degenerate
     tetrahedron, no two tetrahedra overlap, their volumes add up to the
@@ -370,8 +363,8 @@ def pairwise_tri_ok(t: Triangulation) -> bool:
     vols = [abs(tet_volume(p)) for p in pts]
     if min(vols) <= geom.TOL_GEOM * geom.coord_scale(t.points)**3:
         return False
-    if not all(np.all(tets_interior_disjoint(pts[i], pts[i + 1:]))
-               for i in range(len(pts))):
+    if not all(scalar_tets_interior_disjoint(pts[i], pts[j])
+               for i, j in combinations(range(len(pts)), 2)):
         return False
     vol = geom.volume(t.surface)
     if abs(sum(vols) - vol) > 1e-9 * max(1.0, abs(vol)):
@@ -575,38 +568,50 @@ def test_exact_mt_matches_central_fd(criterion10_suite):
                 == (sf.n_negative, sf.n_zero, sf.n_positive)), t.tetrahedra
 
 
-# -- extremality LPs ------------------------------------------------------
+# -- hull extremality -----------------------------------------------------
+
+def _extremality_points():
+    """Vertex sets of the generators, and seeded 12- to 48-point sphere
+    sets; the three smallest also with points 1e-3 inside and outside the
+    centroid of each hull facet."""
+    for family in ("schonhardt", "t-poly", "fixed"):
+        for s in _filter_surfaces(family):
+            yield s.vertices
+    for p in gen.pushed_vertex_pair():
+        yield p.vertices
+    rng = np.random.default_rng(3)
+    for n in (12, 16, 24, 32, 48):
+        p = _sphere_points(rng, n)
+        yield p
+        if n > 24:
+            continue
+        tri = p[ConvexHull(p).simplices]
+        cen = tri.mean(axis=1)
+        out = cen / np.linalg.norm(cen, axis=1)[:, None]
+        yield np.vstack([p, cen + 1e-3 * out, cen - 1e-3 * out])
+
+
+def test_hull_mask_matches_lp_oracle():
+    masks = []
+    for pts in _extremality_points():
+        mask = geom.extreme_vertex_mask(pts)
+        assert list(mask) == list(lp_extreme_mask(pts)), pts
+        masks.append(mask)
+    assert all(m.all() for m in masks[:3]) and not all(m.all() for m in masks)
+
 
 def test_analysis_solves_extremality_once(monkeypatch):
-    calls = []
-    real = geom.extreme_vertex_mask
+    sizes = []
+    real = geom.ConvexHull
 
-    def counting(points, tol=geom.TOL_HULL):
-        calls.append(len(points))
-        return real(points, tol=tol)
+    def counting(points, *args, **kwargs):
+        sizes.append(len(points))
+        return real(points, *args, **kwargs)
 
-    monkeypatch.setattr(geom, "extreme_vertex_mask", counting)
+    monkeypatch.setattr(geom, "ConvexHull", counting)
     t = gen.cube_flat_triangulation()
+    n = len(t.surface.vertices)
     report = analyze_surface(t.surface, t)
     assert report["census"] == {"m": 0, "k": 1}
     assert report["weakly_convex"]["overall"] is False
-    assert calls == [len(t.surface.vertices)]
-
-
-def test_analysis_of_a_valid_triangulation_runs_no_separating_axis_test(
-        monkeypatch):
-    calls = []
-    real = triangulation.tets_interior_disjoint
-
-    def counting(pa, pb, tol=geom.TOL_GEOM):
-        calls.append(1)
-        return real(pa, pb, tol)
-
-    monkeypatch.setattr(triangulation, "tets_interior_disjoint", counting)
-    for t in (gen.cube_flat_triangulation(), _hull24_fan()):
-        report = analyze_surface(t.surface, t)
-        assert report["decomposition"]["kind"] == "triangulation"
-    assert calls == []
-    # The search still prunes with it.
-    assert isinstance(find_decomposition(_tpoly(0.7)), Triangulation)
-    assert calls
+    assert sizes.count(n) == 1 and set(sizes) <= {n, n - 1}
