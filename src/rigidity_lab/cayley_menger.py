@@ -69,22 +69,10 @@ class TetraLengths:
         i, j = _normalize_edge(edge)
         return getattr(self, f"e{i}{j}")
 
-    def with_edge(self, edge, value: float) -> "TetraLengths":
-        i, j = _normalize_edge(edge)
-        vals = dict(self.items())
-        vals[f"e{i}{j}"] = float(value)
-        return TetraLengths(**vals)
-
     @classmethod
     def from_array(cls, arr) -> "TetraLengths":
         arr = np.asarray(arr, dtype=float)
         return cls(*[float(x) for x in arr])
-
-    @classmethod
-    def from_points(cls, p1, p2, p3, p4) -> "TetraLengths":
-        pts = [np.asarray(p, dtype=float) for p in (p1, p2, p3, p4)]
-        return cls(*[float(np.linalg.norm(pts[i - 1] - pts[j - 1]))
-                     for i, j in EDGE_ORDER])
 
 
 def cm_matrix(lengths: TetraLengths) -> np.ndarray:
@@ -237,6 +225,9 @@ def _minor_tables():
  _ROWS3, _COLS3, _SCATTER3) = _minor_tables()
 
 
+# Invalid rows (NaN, infinite or non-positive lengths, degenerate shapes)
+# compute without warnings; ``valid`` flags them.
+@np.errstate(invalid="ignore", divide="ignore", over="ignore")
 def dihedral_kernel(lengths):
     """Dihedral angles and their exact Jacobian for a stack of tetrahedra.
 
@@ -264,12 +255,11 @@ def dihedral_kernel(lengths):
     dn = (np.linalg.det(b[:, _ROWS3[:, :, None], _COLS3[:, None, :]])
           @ _SCATTER3).reshape(-1, 6, 6)
     dd = 2.0 * n[:, _OPPOSITE]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        two_sd = 2.0 * l * l * d[:, None]  # dihedral_angle's order, 2 e e D
-        q = two_sd + n * n
-        angles = np.arccos(np.clip(n / np.sqrt(q), -1.0, 1.0))
-        num = (two_sd[:, :, None] * dn
-               - n[:, :, None] * (np.eye(6) * d[:, None, None]
-                                  + s[:, :, None] * dd[:, None, :]))
-        dalpha_ds = -num / (q * np.sqrt(two_sd))[:, :, None]
+    two_sd = 2.0 * l * l * d[:, None]  # dihedral_angle's order, 2 e e D
+    q = two_sd + n * n
+    angles = np.arccos(np.clip(n / np.sqrt(q), -1.0, 1.0))
+    num = (two_sd[:, :, None] * dn
+           - n[:, :, None] * (np.eye(6) * d[:, None, None]
+                              + s[:, :, None] * dd[:, None, :]))
+    dalpha_ds = -num / (q * np.sqrt(two_sd))[:, :, None]
     return angles, dalpha_ds * (2.0 * l)[:, None, :], valid

@@ -352,13 +352,7 @@ def _make_document(args) -> PolyhedronDocument:
 # ---------------------------------------------------------------------------
 
 def _render_analysis(report: dict) -> str:
-    lines = []
-    v = report["validity"]
-    lines.append(f"validity: {'ok' if v['ok'] else 'INVALID'}")
-    for viol in v["violations"]:
-        lines.append(f"  violation: {viol}")
-    if not v["ok"]:
-        return "\n".join(lines) + "\n"
+    lines = ["validity: ok"]
     wc = report["weakly_convex"]
     flags = "".join("+" if b else "-" for b in wc["per_vertex"])
     lines.append(f"weakly convex: {'yes' if wc['overall'] else 'no'} "
@@ -547,6 +541,7 @@ def cmd_analyze(args) -> str:
     t = doc.as_triangulation()
     # Share one surface, so its validity and extremality are computed once.
     s = doc.surface() if t is None else t.surface
+    s.require_valid()
     report = analyze_surface(s, t=t, scheme=scheme, tol_eig=args.tol_eig,
                              budget=args.budget)
     return _json(report) if args.json else _render_analysis(report)

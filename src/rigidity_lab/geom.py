@@ -182,14 +182,11 @@ class PolyhedralSurface:
 
 def _signed_volume(vertices, faces) -> float:
     v = np.asarray(vertices, dtype=float)
-    total = 0.0
-    for a, b, c in faces:
-        total += float(np.linalg.det(np.array([v[a], v[b], v[c]])))
-    return total / 6.0
-
-
-def face_area(p0, p1, p2) -> float:
-    return 0.5 * float(np.linalg.norm(np.cross(p1 - p0, p2 - p0)))
+    tri = v[np.asarray(faces, dtype=int).reshape(-1, 3)]
+    # A subnormal coordinate can flush an LU pivot to zero: det then flags a
+    # division by zero and returns 0.0, right to the coordinates' precision.
+    with np.errstate(divide="ignore"):
+        return float(np.sum(np.linalg.det(tri))) / 6.0
 
 
 def surface_validate(s: PolyhedralSurface) -> ValidityReport:
@@ -206,18 +203,25 @@ def surface_validate(s: PolyhedralSurface) -> ValidityReport:
         return rep
 
     scale = coord_scale(v)
+    found = {}  # face position -> (tag, detail)
     for fi, f in enumerate(s.faces):
         if len(f) != 3:
-            rep.add("bad-face", f"face has {len(f)} vertices", (fi,))
-            continue
-        if any(i < 0 or i >= n for i in f):
-            rep.add("index-range", f"face {f} indexes out of range", (fi,))
-            continue
-        if len(set(f)) != 3:
-            rep.add("repeated-vertex", f"face {f} repeats a vertex", (fi,))
-            continue
-        if face_area(v[f[0]], v[f[1]], v[f[2]]) <= TOL_GEOM * scale**2:
-            rep.add("degenerate-face", f"face {f} has ~zero area", (fi,))
+            found[fi] = ("bad-face", f"face has {len(f)} vertices")
+        elif any(i < 0 or i >= n for i in f):
+            found[fi] = ("index-range", f"face {f} indexes out of range")
+        elif len(set(f)) != 3:
+            found[fi] = ("repeated-vertex", f"face {f} repeats a vertex")
+    formed = [fi for fi in range(len(s.faces)) if fi not in found]
+    if formed:
+        tri = v[np.array([s.faces[fi] for fi in formed])]
+        area = 0.5 * np.linalg.norm(np.cross(tri[:, 1] - tri[:, 0],
+                                             tri[:, 2] - tri[:, 0]), axis=1)
+        for fi, a in zip(formed, area):
+            if a <= TOL_GEOM * scale**2:
+                found[fi] = ("degenerate-face",
+                             f"face {s.faces[fi]} has ~zero area")
+    for fi in sorted(found):
+        rep.add(*found[fi], (fi,))
     if not rep.ok:
         return rep
 
@@ -283,8 +287,9 @@ def segments_cross_faces(p0, p1, tri) -> np.ndarray:
     det = np.sum(e1 * h, axis=-1)
     sv = p0[:, None, :] - a
     q = np.cross(sv, e1)
-    # Parallel pairs divide by zero; the mask discards their quotients.
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # Parallel pairs divide by zero, or overflow where det is subnormal;
+    # the mask discards their quotients.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         inv = 1.0 / det
         u = inv * np.sum(sv * h, axis=-1)
         v = inv * np.sum(d * q, axis=-1)

@@ -3,7 +3,11 @@ total angles and curvatures at interior edges, the discrete Hilbert-Einstein
 functional, and first-order identity checks (Schlafli residual, gradient).
 
 Boundary edge lengths are always the Euclidean ones from the surface
-coordinates; only interior edge lengths vary.
+coordinates; only interior edge lengths vary.  Every tetrahedron's edge
+lengths and edge slots sit in one ``tet_edge_table``, and every dihedral
+angle of a total angle comes from the stacked ``dihedral_kernel`` over it;
+the scalar ``dihedral_angle`` serves only the single-tetrahedron
+``schlafli_residual``.
 """
 
 from __future__ import annotations
@@ -12,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cayley_menger import EDGE_ORDER, TetraLengths, dihedral_angle, is_valid_tetra
-from .errors import NonPositiveLength, OutOfDomain
+from .cayley_menger import EDGE_ORDER, TetraLengths, dihedral_angle, dihedral_kernel
+from .errors import OutOfDomain
 from .geom import canonical_edge
 from .triangulation import Triangulation
 
@@ -51,29 +55,16 @@ def euclidean_lengths(t: Triangulation) -> EdgeLengthAssignment:
     return EdgeLengthAssignment(interior, boundary)
 
 
-def _length_lookup(t: Triangulation, l: EdgeLengthAssignment):
-    table = {}
-    for e, val in zip(t.interior_edges, l.interior):
-        table[e] = float(val)
-    for e, val in zip(t.boundary_edges, l.boundary):
-        table[e] = float(val)
-    return table
-
-
-def _tet_values(tet, table) -> list[float]:
-    return [table[canonical_edge(tet[i - 1], tet[j - 1])] for i, j in EDGE_ORDER]
-
-
-def _tet_lengths(tet, table) -> TetraLengths:
-    return TetraLengths(*_tet_values(tet, table))
-
-
-def _valid_lengths(vals) -> bool:
-    """True iff six lengths (EDGE_ORDER) form a non-degenerate tetrahedron."""
-    try:
-        return is_valid_tetra(TetraLengths.from_array(vals))
-    except NonPositiveLength:
-        return False
+def tet_edge_table(t: Triangulation, l: EdgeLengthAssignment):
+    """(lengths, index): each tetrahedron's six edge lengths in EDGE_ORDER as
+    a (T, 6) array, and the edge of each slot as an index into
+    ``interior_edges`` followed by ``boundary_edges``, so boundary edge k
+    has index ``len(interior_edges) + k``."""
+    position = {e: k for k, e in enumerate(t.interior_edges + t.boundary_edges)}
+    index = np.array([[position[canonical_edge(tet[i - 1], tet[j - 1])]
+                       for i, j in EDGE_ORDER] for tet in t.tetrahedra],
+                     dtype=int).reshape(-1, 6)
+    return np.concatenate([l.interior, l.boundary])[index], index
 
 
 def in_domain(t: Triangulation, l: EdgeLengthAssignment) -> bool:
@@ -82,9 +73,8 @@ def in_domain(t: Triangulation, l: EdgeLengthAssignment) -> bool:
     t.require_valid()
     if np.any(l.interior <= 0) or np.any(l.boundary <= 0):
         return False
-    table = _length_lookup(t, l)
-    return all(_valid_lengths(_tet_values(tet, table))
-               for tet in t.tetrahedra)
+    _, _, valid = dihedral_kernel(tet_edge_table(t, l)[0])
+    return bool(valid.all())
 
 
 def _round_sig(x: float, sig: int) -> float:
@@ -94,54 +84,19 @@ def _round_sig(x: float, sig: int) -> float:
         x, precision=sig, unique=False, fractional=False))
 
 
-def _angle_row(lengths: TetraLengths, round_sig: int | None = None) -> list[float]:
-    """The six dihedral angles of one tetrahedron in EDGE_ORDER, each
-    rounded to round_sig significant figures when given."""
-    row = [dihedral_angle(lengths, e) for e in EDGE_ORDER]
+def angle_sums(lengths, index, size: int,
+               round_sig: int | None = None) -> np.ndarray:
+    """Per edge of a ``tet_edge_table``, the sum of the dihedral angles at
+    its slots, each rounded to round_sig significant figures when given.
+    The sum runs in tetrahedron order, so equal angles always give
+    bitwise-equal sums.  Raises OutOfDomain if a tetrahedron is not
+    a non-degenerate Euclidean one."""
+    angles, _, valid = dihedral_kernel(lengths)
+    if not valid.all():
+        raise OutOfDomain("length assignment leaves the admissible domain")
     if round_sig is not None:
-        row = [_round_sig(ang, round_sig) for ang in row]
-    return row
-
-
-def _edge_slots(t: Triangulation):
-    """(interior, boundary): for each interior and each boundary edge, in
-    ``interior_edges`` / ``boundary_edges`` order, the (tetrahedron, slot)
-    pairs at which it occurs, in tetrahedron order; slot indexes EDGE_ORDER."""
-    interior_index = {e: k for k, e in enumerate(t.interior_edges)}
-    boundary_index = {e: k for k, e in enumerate(t.boundary_edges)}
-    interior = [[] for _ in interior_index]
-    boundary = [[] for _ in boundary_index]
-    for ti, tet in enumerate(t.tetrahedra):
-        for slot, (i, j) in enumerate(EDGE_ORDER):
-            e = canonical_edge(tet[i - 1], tet[j - 1])
-            if e in interior_index:
-                interior[interior_index[e]].append((ti, slot))
-            else:
-                boundary[boundary_index[e]].append((ti, slot))
-    return interior, boundary
-
-
-def tet_edge_table(t: Triangulation, l: EdgeLengthAssignment):
-    """(lengths, index): each tetrahedron's six edge lengths in EDGE_ORDER as
-    a (T, 6) array, and the ``interior_edges`` index of each slot, -1 for a
-    boundary edge."""
-    table = _length_lookup(t, l)
-    lengths = np.array([_tet_values(tet, table) for tet in t.tetrahedra])
-    index = np.full((len(t.tetrahedra), 6), -1)
-    for k, inc in enumerate(_edge_slots(t)[0]):
-        for ti, slot in inc:
-            index[ti, slot] = k
-    return lengths, index
-
-
-def _sum_angles(slots, rows) -> np.ndarray:
-    """Per edge, the sum of its tetrahedra's angle-row entries, added in
-    tetrahedron order so equal rows always give bitwise-equal sums."""
-    out = np.zeros(len(slots))
-    for k, inc in enumerate(slots):
-        for ti, slot in inc:
-            out[k] += rows[ti][slot]
-    return out
+        angles = np.vectorize(_round_sig)(angles, round_sig)
+    return np.bincount(index.ravel(), weights=angles.ravel(), minlength=size)
 
 
 def total_angles(t: Triangulation, l: EdgeLengthAssignment,
@@ -153,53 +108,10 @@ def total_angles(t: Triangulation, l: EdgeLengthAssignment,
     computations that transcribed angles at display precision; leave it None
     for full-precision work."""
     t.require_valid()
-    if not in_domain(t, l):
-        raise OutOfDomain("length assignment leaves the admissible domain")
-    table = _length_lookup(t, l)
-    rows = [_angle_row(_tet_lengths(tet, table), round_sig)
-            for tet in t.tetrahedra]
-    interior, boundary = _edge_slots(t)
-    omega = _sum_angles(interior, rows)
-    return AngleData(omega=omega, kappa=TWO_PI - omega,
-                     boundary_alpha=_sum_angles(boundary, rows))
-
-
-class OneEdgeAngles:
-    """Total angles around the interior edges at a base length assignment
-    and at assignments that change one interior length.
-
-    Changing interior edge j moves the dihedral angles of the tetrahedra
-    that contain j and of no other.  ``omega_with`` re-evaluates only
-    those and sums the angle rows in the order ``total_angles`` uses, so it
-    returns bitwise what ``total_angles(...).omega`` returns for the changed
-    assignment, and raises OutOfDomain in the same cases.  The base must be
-    in the domain.
-    """
-
-    def __init__(self, t: Triangulation, base: EdgeLengthAssignment,
-                 round_sig: int | None = None):
-        table = _length_lookup(t, base)
-        self._lengths = [np.array(_tet_values(tet, table))
-                         for tet in t.tetrahedra]
-        self._round_sig = round_sig
-        self._rows = [_angle_row(TetraLengths.from_array(ls), round_sig)
-                      for ls in self._lengths]
-        self._slots, _ = _edge_slots(t)
-
-    def omega_with(self, j: int, value: float) -> np.ndarray:
-        """Total angles with interior edge j set to ``value``."""
-        star = self._slots[j]
-        changed = []
-        for ti, slot in star:
-            ls = self._lengths[ti].copy()
-            ls[slot] = value
-            if not _valid_lengths(ls):
-                raise OutOfDomain("length assignment leaves the admissible domain")
-            changed.append(ls)
-        rows = list(self._rows)
-        for (ti, _), ls in zip(star, changed):
-            rows[ti] = _angle_row(TetraLengths.from_array(ls), self._round_sig)
-        return _sum_angles(self._slots, rows)
+    n = len(l.interior)
+    sums = angle_sums(*tet_edge_table(t, l), n + len(l.boundary), round_sig)
+    omega = sums[:n]
+    return AngleData(omega=omega, kappa=TWO_PI - omega, boundary_alpha=sums[n:])
 
 
 def curvatures(angles: AngleData) -> np.ndarray:

@@ -116,53 +116,56 @@ def assemble_mt(t: Triangulation,
     interior edge j."""
     t.require_valid()
     base = he.euclidean_lengths(t)
-    if scheme.kind is SchemeKind.EXACT:
-        m = _exact_mt(t, base)
-    else:
-        m = _fd_mt(t, base, scheme)
-    n = len(base.interior)
-    norm = float(np.max(np.abs(m))) if n else 0.0
-    rho = float(np.max(np.abs(m - m.T))) / max(1.0, norm) if n else 0.0
-    return StiffnessMatrix(matrix=m, scheme=scheme, symmetry_residual=rho)
-
-
-def _exact_mt(t: Triangulation, base: he.EdgeLengthAssignment) -> np.ndarray:
-    """Scatter-add each tetrahedron's Jacobian block over the slots of its
-    interior edges."""
     lengths, index = he.tet_edge_table(t, base)
     _, jac, valid = dihedral_kernel(lengths)
     if not np.all(valid):
         raise OutOfDomain("Euclidean base point is outside the admissible domain")
     n = len(base.interior)
-    # Boundary slots (index -1) land in a padding row and column.
+    if scheme.kind is SchemeKind.EXACT:
+        m = _exact_mt(jac, index, n)
+    else:
+        m = _fd_mt(lengths, index, base, scheme)
+    norm = float(np.max(np.abs(m))) if n else 0.0
+    rho = float(np.max(np.abs(m - m.T))) / max(1.0, norm) if n else 0.0
+    return StiffnessMatrix(matrix=m, scheme=scheme, symmetry_residual=rho)
+
+
+def _exact_mt(jac: np.ndarray, index: np.ndarray, n: int) -> np.ndarray:
+    """Scatter-add each tetrahedron's Jacobian block over the slots of its
+    interior edges."""
+    # Boundary slots (index n and up) land in a padding row and column.
+    slot = np.minimum(index, n)
     m = np.zeros((n + 1, n + 1))
-    np.add.at(m, (index[:, :, None], index[:, None, :]), jac)
+    np.add.at(m, (slot[:, :, None], slot[:, None, :]), jac)
     return m[:n, :n]
 
 
-def _fd_mt(t: Triangulation, base: he.EdgeLengthAssignment,
-           scheme: FDScheme) -> np.ndarray:
+def _fd_mt(lengths: np.ndarray, index: np.ndarray,
+           base: he.EdgeLengthAssignment, scheme: FDScheme) -> np.ndarray:
     """Columns are finite-difference derivatives of the total-angle vector
     with respect to one interior edge length.
 
     In forward mode the base angles are exactly 2*pi (the Euclidean
     shortcut); central mode differences two perturbed evaluations.  Column
-    j re-evaluates only the tetrahedra on edge j (``OneEdgeAngles``); the
-    result is bitwise that of recomputing every total angle.
+    j takes the ``tet_edge_table`` with every slot of edge j moved by the
+    step and sums the kernel's angles over it as ``total_angles`` does, so
+    each perturbed total angle is bitwise what ``total_angles`` returns.
     """
-    if not he.in_domain(t, base):
-        raise OutOfDomain("Euclidean base point is outside the admissible domain")
     n = len(base.interior)
+    size = n + len(base.boundary)
+
+    def omega(j: int, value: float) -> np.ndarray:
+        moved = np.where(index == j, value, lengths)
+        return he.angle_sums(moved, index, size, scheme.round_sig)[:n]
+
     m = np.zeros((n, n))
     eps = scheme.epsilon
-    if n:
-        angles = he.OneEdgeAngles(t, base, round_sig=scheme.round_sig)
     for j in range(n):
-        omega_plus = angles.omega_with(j, base.interior[j] + eps)
+        omega_plus = omega(j, base.interior[j] + eps)
         if scheme.kind is SchemeKind.FORWARD:
             m[:, j] = (omega_plus - he.TWO_PI) / eps
         else:
-            omega_minus = angles.omega_with(j, base.interior[j] - eps)
+            omega_minus = omega(j, base.interior[j] - eps)
             m[:, j] = (omega_plus - omega_minus) / (2.0 * eps)
     return m
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from rigidity_lab import cli
+from rigidity_lab import generators as gen
 from rigidity_lab.cli import (
     PolyhedronDocument,
     from_obj,
@@ -331,6 +332,34 @@ def test_non_conforming_tiling_is_invalid_triangulation(tmp_path, capsys):
     assert (rc, out) == (2, "")
     assert err.startswith("InvalidTriangulation: ")
     assert "boundary-chain" in err
+
+
+def _crossing_octahedron() -> dict:
+    """The octahedron with vertex 0 moved so that two edges cross faces."""
+    doc = {"schema": "rigidity-lab/1",
+           "vertices": [[float(x) for x in v] for v in gen.octahedron().vertices],
+           "faces": [list(f) for f in gen.octahedron().faces]}
+    doc["vertices"][0] = [-1.022, 1.731, -1.181]
+    return doc
+
+
+_DOUBLE_TRIANGLE = {"schema": "rigidity-lab/1",
+                    "vertices": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                    "faces": [[0, 1, 2], [0, 2, 1]]}
+
+
+@pytest.mark.parametrize("doc, tag", [
+    (_crossing_octahedron(), "self-intersection"),
+    (_DOUBLE_TRIANGLE, "degenerate-volume")],
+    ids=["crossing-octahedron", "doubly-covered-triangle"])
+def test_invalid_surface_exits_2_like_decompose(tmp_path, capsys, doc, tag):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    for argv in (["analyze", str(path)], ["analyze", str(path), "--json"],
+                 ["decompose", str(path)]):
+        rc, out, err = run(capsys, *argv)
+        assert (rc, out) == (2, ""), argv
+        assert err.startswith("InvalidSurface: ") and f"[{tag}]" in err
 
 
 def test_generator_name_beats_file_of_that_name(tmp_path, capsys, monkeypatch):

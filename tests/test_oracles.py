@@ -2,17 +2,21 @@
 
 The reference implementations below are kept here, in test code only:
 the pairwise overlap (a per-pair separating-axis test), volume-fill and
-face-count validation that the boundary-chain certificate replaced, a
-finite-difference M_T that recomputes every total angle for every
-perturbation, high-precision differences of the dihedral-angle formula,
-the per-candidate, per-point decomposition filter, and the per-vertex
-linear program that decided hull extremality before Qhull did.  The fast
+face-count validation that the boundary-chain certificate replaced, the
+per-tetrahedron sum of scalar dihedral angles that total angles came from
+before the stacked kernel, a finite-difference M_T that recomputes every
+total angle for every perturbation, high-precision differences of the
+dihedral-angle formula, the per-candidate, per-point decomposition filter,
+and the per-vertex linear program that decided hull extremality before
+Qhull did.  The fast
 paths must give the same verdicts and bitwise the same matrices; the exact
 M_T, which replaces a difference quotient by a derivative, must agree to a
-tolerance.
+tolerance, and so must the kernel's total angles, whose arccos can round
+differently in the last bit.
 """
 
 import math
+import sys
 from collections import Counter
 from itertools import combinations
 
@@ -25,9 +29,15 @@ from scipy.spatial import ConvexHull
 from rigidity_lab import generators as gen
 from rigidity_lab import hilbert_einstein as he
 from rigidity_lab import geom
-from rigidity_lab.cayley_menger import EDGE_ORDER, dihedral_kernel
+from rigidity_lab.cayley_menger import (
+    EDGE_ORDER,
+    TetraLengths,
+    dihedral_angle,
+    dihedral_kernel,
+    is_valid_tetra,
+)
 from rigidity_lab.cli import analyze_surface
-from rigidity_lab.errors import OutOfDomain
+from rigidity_lab.errors import NonPositiveLength, OutOfDomain
 from rigidity_lab.geom import PolyhedralSurface
 from rigidity_lab.stiffness import (
     DEFAULT_SCHEME,
@@ -83,7 +93,46 @@ def scalar_tets_interior_disjoint(pa, pb, tol=geom.TOL_GEOM) -> bool:
     return False
 
 
-def global_fd_mt(t, scheme) -> np.ndarray:
+def _scalar_lengths(t, l):
+    """Each tetrahedron's edges and their TetraLengths, or None where the
+    lengths are not all finite and positive."""
+    value = dict(zip(t.interior_edges + t.boundary_edges,
+                     np.concatenate([l.interior, l.boundary])))
+    for tet in t.tetrahedra:
+        edges = [geom.canonical_edge(tet[i - 1], tet[j - 1])
+                 for i, j in EDGE_ORDER]
+        try:
+            yield edges, TetraLengths(*[float(value[e]) for e in edges])
+        except NonPositiveLength:
+            yield edges, None
+
+
+def scalar_in_domain(t, l) -> bool:
+    return all(ls is not None and is_valid_tetra(ls)
+               for _, ls in _scalar_lengths(t, l))
+
+
+def scalar_total_angles(t, l, round_sig=None) -> he.AngleData:
+    """Six scalar dihedral_angle calls per tetrahedron, each rounded to
+    round_sig significant figures when given, added per edge in
+    tetrahedron order."""
+    if not scalar_in_domain(t, l):
+        raise OutOfDomain("length assignment leaves the admissible domain")
+    n = len(l.interior)
+    position = {e: k for k, e in enumerate(t.interior_edges + t.boundary_edges)}
+    sums = np.zeros(len(position))
+    for edges, ls in _scalar_lengths(t, l):
+        for e, slot in zip(edges, EDGE_ORDER):
+            angle = dihedral_angle(ls, slot)
+            if round_sig is not None:
+                angle = he._round_sig(angle, round_sig)
+            sums[position[e]] += angle
+    omega = sums[:n]
+    return he.AngleData(omega=omega, kappa=he.TWO_PI - omega,
+                        boundary_alpha=sums[n:])
+
+
+def global_fd_mt(t, scheme, total_angles=he.total_angles) -> np.ndarray:
     """Every column from total angles recomputed over all tetrahedra."""
     base = he.euclidean_lengths(t)
     n = len(base.interior)
@@ -92,13 +141,13 @@ def global_fd_mt(t, scheme) -> np.ndarray:
     for j in range(n):
         step = np.zeros(n)
         step[j] = eps
-        plus = he.total_angles(t, base.with_interior(base.interior + step),
-                               round_sig=scheme.round_sig).omega
+        plus = total_angles(t, base.with_interior(base.interior + step),
+                            round_sig=scheme.round_sig).omega
         if scheme.kind is SchemeKind.FORWARD:
             m[:, j] = (plus - he.TWO_PI) / eps
         else:
-            minus = he.total_angles(t, base.with_interior(base.interior - step),
-                                    round_sig=scheme.round_sig).omega
+            minus = total_angles(t, base.with_interior(base.interior - step),
+                                 round_sig=scheme.round_sig).omega
             m[:, j] = (plus - minus) / (2.0 * eps)
     return m
 
@@ -530,6 +579,79 @@ def test_local_fd_out_of_domain_like_global_fd():
     sp = spectrum(assemble_mt(t, DEFAULT_SCHEME))
     assert (sp.n_negative, sp.n_zero, sp.n_positive) == (0, 0, 43)
     assert analyze_surface(t.surface, t)["verdict"] == "Rigid"
+
+
+# -- total angles from the kernel -----------------------------------------
+
+def test_kernel_total_angles_match_scalar_angle_sum(criterion10_suite):
+    for t in criterion10_suite + _seeded_hull_fans():
+        lengths = he.euclidean_lengths(t)
+        for round_sig in (None, 6):
+            got = he.total_angles(t, lengths, round_sig=round_sig)
+            ref = scalar_total_angles(t, lengths, round_sig=round_sig)
+            assert np.max(np.abs(got.omega - ref.omega)) <= 1e-14
+            assert np.max(np.abs(got.boundary_alpha
+                                 - ref.boundary_alpha)) <= 1e-14
+
+
+def _length_cases(t, rng):
+    """The Euclidean lengths, interior ones stretched 50x or scattered by
+    0.1 % to 30 %, and one interior or boundary length set to a negative,
+    zero, NaN or infinite value."""
+    base = he.euclidean_lengths(t)
+    n = len(base.interior)
+    yield base
+    yield base.with_interior(50.0 * base.interior)
+    for sigma in (1e-3, 3e-3, 1e-2, 3e-2, 0.1, 0.3):
+        yield base.with_interior(base.interior
+                                 * (1.0 + sigma * rng.standard_normal(n)))
+    for bad in (-1.0, 0.0, np.nan, np.inf):
+        interior, boundary = base.interior.copy(), base.boundary.copy()
+        interior[0] = bad
+        yield base.with_interior(interior)
+        boundary[0] = bad
+        yield he.EdgeLengthAssignment(base.interior, boundary)
+
+
+def test_in_domain_matches_scalar_validity(criterion10_suite):
+    rng = np.random.default_rng(17)
+    verdicts = []
+    for t in criterion10_suite + _seeded_hull_fans():
+        for lengths in _length_cases(t, rng):
+            ok = he.in_domain(t, lengths)
+            assert ok == scalar_in_domain(t, lengths), t.tetrahedra
+            verdicts.append(ok)
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+@pytest.mark.parametrize("scheme", [PAPER_SCHEME,
+                                    FDScheme(SchemeKind.FORWARD, 1e-6, 6)],
+                         ids=["paper", "forward"])
+def test_rounded_fd_equals_scalar_global_fd(scheme, criterion10_suite):
+    for t in criterion10_suite + [_hull24_fan()] + _seeded_hull_fans():
+        ref = global_fd_mt(t, scheme, total_angles=scalar_total_angles)
+        assert np.array_equal(assemble_mt(t, scheme).matrix, ref), t.tetrahedra
+
+
+def test_angles_and_schemes_make_no_scalar_angle_call(monkeypatch,
+                                                      criterion10_suite):
+    calls = []
+    for name, module in list(sys.modules.items()):
+        if name == "rigidity_lab" or name.startswith("rigidity_lab."):
+            for attr in ("dihedral_angle", "is_valid_tetra"):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(
+                        module, attr,
+                        lambda *args, attr=attr, **kw: calls.append(attr))
+    for t in criterion10_suite[:5] + [_hull24_fan()]:
+        lengths = he.euclidean_lengths(t)
+        assert he.in_domain(t, lengths)
+        he.total_angles(t, lengths)
+        he.total_angles(t, lengths, round_sig=6)
+        for scheme in (DEFAULT_SCHEME, PAPER_SCHEME,
+                       FDScheme(SchemeKind.CENTRAL, 1e-6)):
+            assemble_mt(t, scheme)
+    assert calls == []
 
 
 # -- exact M_T ------------------------------------------------------------

@@ -194,3 +194,16 @@ def test_exact_mt_invariant_under_similarity_and_relabelling(quat, shift,
         expected = m / scale
         assert (np.max(np.abs(mt.matrix[np.ix_(order, order)] - expected))
                 <= 1e-9 * np.max(np.abs(expected)))
+
+
+def test_rotation_with_subnormal_entries_keeps_counts():
+    # A quaternion with a subnormal component puts subnormal coordinates in
+    # the surface; validation and M_T must stay silent and unchanged.
+    rotation = Rotation.from_quat((0.0, 1.0, 0.0, 2.225073858507e-311))
+    for t, m, counts, nullity in _invariance_cases():
+        for shift in ((0.0, 0.0, 0.0), (0.0, 5.7e-14, 8.24)):
+            moved = _moved(t, rotation.as_matrix(), shift, 1.0,
+                           range(len(t.points)))
+            sp = spectrum(assemble_mt(moved))
+            assert (sp.n_negative, sp.n_zero, sp.n_positive) == counts
+            assert deformation_space(moved.surface)[0].nullity == nullity
