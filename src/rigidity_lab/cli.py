@@ -182,156 +182,133 @@ class PolyhedronDocument:
 # Generator registry
 # ---------------------------------------------------------------------------
 
-def _theta_from_args(args) -> float | None:
-    if getattr(args, "theta_pi_frac", None) is not None:
-        frac = args.theta_pi_frac
+def _gen_schonhardt(f: dict) -> PolyhedronDocument:
+    theta = f["theta"]
+    frac = f["theta-pi-frac"]
+    if frac is not None:  # never given together with --theta
         try:
             num, den = frac.split("/")
-            return math.pi * int(num) / int(den)
+            theta = math.pi * int(num) / int(den)
         except (ValueError, ZeroDivisionError) as exc:
             raise BadParams(
                 f"--theta-pi-frac expects NUM/DEN with integer parts; "
                 f"got {frac!r}") from exc
-    return getattr(args, "theta", None)
-
-
-def _gen_schonhardt(args) -> PolyhedronDocument:
-    theta = _theta_from_args(args)
-    if theta is None:
-        theta = math.pi / 6.0
-    params = gen.SchonhardtParams(theta, args.r, args.h)
+    params = gen.SchonhardtParams(theta, f["r"], f["h"])
     return PolyhedronDocument.from_surface(gen.schonhardt(params))
 
 
-def _gen_octahedron(args) -> PolyhedronDocument:
-    s = gen.octahedron()
-    t = gen.octahedron_axis_triangulation(s)
-    return PolyhedronDocument.from_surface(s, t)
+def _gen_fixed(triangulation):
+    """The builder of a fixed solid, emitted with its triangulation."""
+    def build(f: dict) -> PolyhedronDocument:
+        t = triangulation()
+        return PolyhedronDocument.from_surface(t.surface, t)
+    return build
 
 
-def _gen_cube_flat(args) -> PolyhedronDocument:
-    s = gen.cube_with_flat_vertex()
-    t = gen.cube_flat_triangulation(s)
-    return PolyhedronDocument.from_surface(s, t)
+def _gen_pushed_pair(f: dict) -> PolyhedronDocument:
+    convex, pushed = gen.pushed_vertex_pair(f["depth"])
+    s = convex if f["member"] == "convex" else pushed
+    return PolyhedronDocument.from_surface(s, gen.pushed_pair_triangulation(s))
 
 
-def _gen_octahedron_centroid(args) -> PolyhedronDocument:
-    t = gen.octahedron_with_centroid_triangulation()
-    return PolyhedronDocument.from_surface(t.surface, t)
-
-
-def _gen_pushed_pair(args) -> PolyhedronDocument:
-    convex, pushed = gen.pushed_vertex_pair(args.depth)
-    s = convex if args.member == "convex" else pushed
-    t = gen.pushed_pair_triangulation(s)
-    return PolyhedronDocument.from_surface(s, t)
-
-
-def _tpoly_params(args) -> gen.TPolyParams:
-    hull = gen.SchonhardtParams(args.hull_theta, args.hull_r, args.hull_h)
-    ext = gen.SchonhardtParams(args.ext_theta, args.ext_r, args.ext_h)
-    return gen.TPolyParams(hull, ext, vertical_shift=args.shift)
-
-
-def _gen_tpoly(args) -> PolyhedronDocument:
-    surface, labels = gen.t_polyhedron(_tpoly_params(args))
+def _gen_tpoly(f: dict) -> PolyhedronDocument:
+    hull = gen.SchonhardtParams(f["hull-theta"], f["hull-r"], f["hull-h"])
+    ext = gen.SchonhardtParams(f["ext-theta"], f["ext-r"], f["ext-h"])
+    surface, labels = gen.t_polyhedron(
+        gen.TPolyParams(hull, ext, vertical_shift=f["shift"]))
     return PolyhedronDocument.from_surface(surface, labels=labels)
 
 
+@dataclass(frozen=True)
+class Flag:
+    """A generator flag: its default, its help, and its argparse keywords;
+    a flag without keywords is a number."""
+    name: str
+    default: object = None
+    help: str | None = None
+    options: dict | None = None
+
+    @property
+    def numeric(self) -> bool:
+        return self.options is None
+
+
+# Each generator's builder and the flags it reads, in order.  A builder is
+# called with a dict of exactly these flags, defaults filled in; the numeric
+# ones are the parameters sweep accepts for it.
 GENERATORS = {
-    "schonhardt": _gen_schonhardt,
-    "octahedron": _gen_octahedron,
-    "cube-with-flat-vertex": _gen_cube_flat,
-    "octahedron-with-centroid": _gen_octahedron_centroid,
-    "pushed-pair": _gen_pushed_pair,
-    "t-poly": _gen_tpoly,
+    "schonhardt": (_gen_schonhardt, (
+        Flag("theta", math.pi / 6.0, "twist angle in radians"),
+        Flag("r", 1.0), Flag("h", 2.0),
+        Flag("theta-pi-frac", None, "twist angle as a rational multiple of pi",
+             {"metavar": "NUM/DEN"}))),
+    "octahedron": (_gen_fixed(gen.octahedron_axis_triangulation), ()),
+    "cube-with-flat-vertex": (_gen_fixed(gen.cube_flat_triangulation), ()),
+    "octahedron-with-centroid": (
+        _gen_fixed(gen.octahedron_with_centroid_triangulation), ()),
+    "pushed-pair": (_gen_pushed_pair, (
+        Flag("depth", None, "push depth for the pushed-pair generator"),
+        Flag("member", "pushed", "which member of the pushed pair to emit "
+                                 "(default: pushed)",
+             {"choices": ("convex", "pushed")}))),
+    "t-poly": (_gen_tpoly, (
+        Flag("shift", 0.0, "vertical shift of the T-polyhedron cavity"),
+        Flag("hull-theta", math.pi / 6.0), Flag("hull-r", 1.0),
+        Flag("hull-h", 2.0), Flag("ext-theta", math.pi / 6.0),
+        Flag("ext-r", 2.5), Flag("ext-h", 4.0))),
 }
 
-
-# The numeric generator flags: name -> (default, help).  The parser leaves
-# a flag that is not given None, and _generator_args fills in the default.
-NUMERIC_FLAGS = {
-    "theta": (None, "twist angle in radians"),
-    "r": (1.0, None),
-    "h": (2.0, None),
-    "depth": (None, "push depth for the pushed-pair generator"),
-    "shift": (0.0, "vertical shift of the T-polyhedron cavity"),
-    "hull-theta": (math.pi / 6.0, None),
-    "hull-r": (1.0, None),
-    "hull-h": (2.0, None),
-    "ext-theta": (math.pi / 6.0, None),
-    "ext-r": (2.5, None),
-    "ext-h": (4.0, None),
-}
-
-
-# The numeric flags each generator reads, which are the parameters sweep
-# accepts for it; the fixed generators read none.
-SWEEPABLE = {
-    "schonhardt": ("theta", "r", "h"),
-    "pushed-pair": ("depth",),
-    "t-poly": ("shift", "hull-theta", "hull-r", "hull-h",
-               "ext-theta", "ext-r", "ext-h"),
-}
-
-# The generator flags that are not numeric, by the generator that reads them.
-OTHER_FLAGS = {
-    "schonhardt": ("theta-pi-frac",),
-    "pushed-pair": ("member",),
-}
+# Every generator flag once, first-seen: the numeric ones, then the others.
+_FLAGS = list({f.name: f for _, flags in GENERATORS.values()
+               for f in flags}.values())
+_FLAGS.sort(key=lambda f: not f.numeric)
 
 
 def _add_generator_flags(p: argparse.ArgumentParser) -> None:
-    for name, (_, help_text) in NUMERIC_FLAGS.items():
-        p.add_argument(f"--{name}", type=float, default=None, help=help_text)
-    p.add_argument("--theta-pi-frac", default=None, metavar="NUM/DEN",
-                   help="twist angle as a rational multiple of pi")
-    p.add_argument("--member", choices=("convex", "pushed"), default=None,
-                   help="which member of the pushed pair to emit "
-                        "(default: pushed)")
+    for f in _FLAGS:
+        p.add_argument(f"--{f.name}", default=None, help=f.help,
+                       **(f.options or {"type": float}))
 
 
 def _flag_list(flags) -> str:
     return ", ".join(f"--{f}" for f in flags)
 
 
-def _given_flags(args) -> list[str]:
-    """The generator flags given on the command line."""
-    return [f for f in (*NUMERIC_FLAGS, "theta-pi-frac", "member")
-            if getattr(args, f.replace("-", "_")) is not None]
-
-
-def _generator_args(name: str, args) -> argparse.Namespace:
-    """A copy of ``args`` with generator ``name``'s numeric defaults filled
-    in.  A flag the generator does not read, or --theta together with
-    --theta-pi-frac, raises BadParams instead of being ignored."""
-    own = SWEEPABLE.get(name, ()) + OTHER_FLAGS.get(name, ())
-    stray = [f for f in _given_flags(args) if f not in own]
-    if stray:
-        raise BadParams(f"{name} does not read {_flag_list(stray)}; "
-                        f"its flags: {_flag_list(own) or 'none'}")
-    if args.theta is not None and args.theta_pi_frac is not None:
-        raise BadParams("give --theta or --theta-pi-frac, not both")
-    ns = argparse.Namespace(**vars(args))
-    for flag, (default, _) in NUMERIC_FLAGS.items():
-        attr = flag.replace("-", "_")
-        if getattr(ns, attr) is None:
-            setattr(ns, attr, default)
-    return ns
+def _given_flags(args) -> dict:
+    """The generator flags given on the command line, by name."""
+    values = {f.name: getattr(args, f.name.replace("-", "_")) for f in _FLAGS}
+    return {k: v for k, v in values.items() if v is not None}
 
 
 def _generator(name: str):
+    """The builder and flags of generator ``name``."""
     if name not in GENERATORS:
         raise UnknownGenerator(
             f"unknown generator {name!r}; known: {', '.join(sorted(GENERATORS))}")
     return GENERATORS[name]
 
 
+def _own_flags(name: str, args) -> dict:
+    """Generator ``name``'s flags from ``args``, defaults filled in.  A flag
+    the generator does not read, or --theta together with --theta-pi-frac,
+    raises BadParams instead of being ignored."""
+    flags = _generator(name)[1]
+    own = [f.name for f in flags]
+    given = _given_flags(args)
+    stray = [f for f in given if f not in own]
+    if stray:
+        raise BadParams(f"{name} does not read {_flag_list(stray)}; "
+                        f"its flags: {_flag_list(own) or 'none'}")
+    if "theta" in given and "theta-pi-frac" in given:
+        raise BadParams("give --theta or --theta-pi-frac, not both")
+    return {f.name: given.get(f.name, f.default) for f in flags}
+
+
 def _make_document(args) -> PolyhedronDocument:
     name = args.name
     # A generator id always means the generator, even if a file has its name.
     if name != "-" and (name in GENERATORS or not os.path.exists(name)):
-        return _generator(name)(_generator_args(name, args))
+        return _generator(name)[0](_own_flags(name, args))
     given = _given_flags(args)
     if given:
         raise BadParams(f"{_flag_list(given)}: generator flags do not apply "
@@ -438,9 +415,8 @@ def sweep_row(name: str, param: str, value: float, args) -> dict:
 
 
 def cmd_sweep(args) -> str:
-    _generator(args.name)
     param = args.param.replace("_", "-")
-    own = SWEEPABLE.get(args.name, ())
+    own = [f.name for f in _generator(args.name)[1] if f.numeric]
     if param not in own:
         raise BadParams(f"cannot sweep {args.param!r} of {args.name}; "
                         f"sweepable parameters: {', '.join(own) or 'none'}")
@@ -448,7 +424,7 @@ def cmd_sweep(args) -> str:
         raise BadParams("cannot sweep theta with --theta-pi-frac, which "
                         "fixes it")
     # A stray flag is one usage error, not an error row per value.
-    _generator_args(args.name, args)
+    _own_flags(args.name, args)
     lo, hi = _parse_range(args.range)
     rows = [sweep_row(args.name, args.param, v, args)
             for v in _sweep_samples(lo, hi, args.step)]
@@ -485,36 +461,13 @@ def to_obj(doc: PolyhedronDocument) -> str:
     return "\n".join(lines) + "\n"
 
 
-def from_obj(text: str) -> PolyhedronDocument:
-    vertices, faces = [], []
-    for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if parts[0] == "v" and len(parts) == 4:
-            try:
-                vertices.append([float(x) for x in parts[1:]])
-            except ValueError as exc:
-                raise ParseError(f"line {lineno}: bad vertex") from exc
-        elif parts[0] == "f" and len(parts) == 4:
-            try:
-                idx = [int(x.split("/")[0]) - 1 for x in parts[1:]]
-            except ValueError as exc:
-                raise ParseError(f"line {lineno}: bad face") from exc
-            faces.append(idx)
-        elif parts[0] in ("v", "f"):
-            raise ParseError(f"line {lineno}: expected 3 entries")
-    return PolyhedronDocument(vertices=vertices, faces=faces)
-
-
 # ---------------------------------------------------------------------------
 # command entry points: each returns its rendered output, which main writes
 # ---------------------------------------------------------------------------
 
 def cmd_generate(args) -> str:
-    generate = _generator(args.name)
-    return generate(_generator_args(args.name, args)).to_json()
+    build, _ = _generator(args.name)
+    return build(_own_flags(args.name, args)).to_json()
 
 
 def _scheme(args):

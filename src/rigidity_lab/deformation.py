@@ -14,7 +14,6 @@ from .geom import PolyhedralSurface
 from .stiffness import Verdict, VerdictKind
 
 TOL_SV = 1e-8        # relative singular-value threshold for the null space
-TOL_TRIVIAL = 1e-9   # rank tolerance for the projected Killing-field Gram matrix
 
 
 @dataclass
@@ -74,10 +73,20 @@ def trivial_motions(s: PolyhedralSurface) -> np.ndarray:
     return np.array(fields)
 
 
+def _trivial_frame(s: PolyhedralSurface) -> np.ndarray:
+    """An orthonormal basis (3|V| x 6, by QR) of the trivial motions."""
+    q, _ = np.linalg.qr(trivial_motions(s).T)
+    return q
+
+
 def deformation_space(s: PolyhedralSurface, tol_sv: float = TOL_SV):
     """Null space of the rigidity matrix via SVD thresholding at
     tol_sv * sigma_max; the verdict is Flexible iff the nullity exceeds the
-    dimension of the projected trivial-motion subspace."""
+    number of trivial motions in it.
+
+    That number counts the principal angles between the trivial motions and
+    the null space whose cosine exceeds 1/2.  Both sides are orthonormal, so
+    the count does not depend on where the surface sits or on its scale."""
     r = rigidity_matrix(s)
     a = r.matrix
     ncols = a.shape[1]
@@ -91,12 +100,8 @@ def deformation_space(s: PolyhedralSurface, tol_sv: float = TOL_SV):
     basis = vt[rank:ncols]
     nullity = basis.shape[0]
 
-    triv = trivial_motions(s)
-    proj = triv @ basis.T  # 6 x nullity projection coefficients
-    gram = proj @ proj.T
-    gram_eig = np.linalg.eigvalsh(gram)
-    scale = max(1.0, float(gram_eig[-1])) if len(gram_eig) else 1.0
-    trivial_dim = int(np.sum(gram_eig > TOL_TRIVIAL * scale))
+    cosines = np.linalg.svd(_trivial_frame(s).T @ basis.T, compute_uv=False)
+    trivial_dim = int(np.sum(cosines > 0.5))
 
     d = DeformationBasis(nullity=nullity, basis=basis, trivial_dim=trivial_dim,
                          spectral_gap=gap, singular_values=sv)
@@ -151,9 +156,8 @@ def twist_mode(s: PolyhedralSurface, d: DeformationBasis) -> TwistModeReport:
     if d.nontrivial_dim < 1:
         raise NoNontrivialMode("deformation basis has no nontrivial mode")
     p = s.vertices
-    triv = trivial_motions(s)
-    # Orthonormalize the trivial fields and project them out of the kernel basis.
-    tq, _ = np.linalg.qr(triv.T)
+    # Project the trivial motions out of the kernel basis.
+    tq = _trivial_frame(s)
     resid = d.basis - (d.basis @ tq) @ tq.T
     u, sv, vt = np.linalg.svd(resid)
     mode = vt[0].reshape(-1, 3)

@@ -41,6 +41,8 @@ class SchonhardtParams:
             raise BadParams(f"theta must lie in [0, pi/3); got {self.theta}")
         if self.r <= 0 or self.h <= 0:
             raise BadParams(f"r and h must be positive; got r={self.r}, h={self.h}")
+        if not (math.isfinite(self.r) and math.isfinite(self.h)):
+            raise BadParams(f"r and h must be finite; got r={self.r}, h={self.h}")
 
 
 def _triangle(angles, r, z):
@@ -218,13 +220,12 @@ def pushed_vertex_pair(depth: float | None = None):
     pushed_vertices = vertices.copy()
     pushed_vertices[0, 2] -= depth
     try:
-        pushed = PolyhedralSurface(pushed_vertices, faces, orient=False)
+        pushed = PolyhedralSurface(pushed_vertices, faces)
         report = pushed.validate()
     except RigidityLabError as exc:
         raise DegenerateDepth(f"depth {depth} degenerates the surface: {exc}") from exc
     if not report.ok:
         raise DegenerateDepth(f"depth {depth} degenerates the surface: {report}")
-    pushed.faces = list(convex.faces)  # identical combinatorics by contract
     return convex, pushed
 
 
@@ -245,6 +246,9 @@ class TPolyParams:
     def __post_init__(self):
         if self.exterior.r <= self.hull.r:
             raise BadParams("exterior radius must exceed hull radius")
+        if not math.isfinite(self.vertical_shift):
+            raise BadParams(f"vertical_shift must be finite; "
+                            f"got {self.vertical_shift}")
         if self.vertical_shift < 0:
             raise BadParams("vertical_shift must be >= 0")
 
@@ -273,9 +277,6 @@ def t_polyhedron(params: TPolyParams):
     if top_z - h_i <= -params.exterior.h / 2.0 + 1e-12:
         raise SelfIntersecting("inner antiprism pokes through the outer bottom",
                                witness=("inner-bottom", "outer-bottom"))
-    if top_z > params.exterior.h / 2.0 + 1e-12:
-        raise SelfIntersecting("inner top rises above the outer top plane",
-                               witness=("inner-top", "outer-top"))
 
     o = list(range(6))       # outer A..F
     i = list(range(6, 12))   # inner A'..F'

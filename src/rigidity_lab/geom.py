@@ -1,11 +1,12 @@
 """3D primitives, the triangulated-surface data model, and global predicates.
 
 Vertices are plain ``(n, 3)`` float arrays.  Surfaces are sphere-topology
-triangle meshes with outward-oriented faces; orientation is normalized at
-ingestion (consistent winding by region growing, then a global flip if the
-signed volume comes out negative).  Weak convexity (every vertex extreme)
-and flatness (on the hull boundary, not extreme) are read off one Qhull
-convex hull of the vertices.
+triangle meshes with outward-oriented faces; every surface is oriented once,
+at construction: each face is kept or flipped so that neighbours run their
+shared edge opposite ways, then all are flipped if the signed volume comes
+out negative.  Weak convexity (every vertex extreme) and flatness (on the
+hull boundary, not extreme) are read off one Qhull convex hull of the
+vertices.
 """
 
 from __future__ import annotations
@@ -23,6 +24,9 @@ TOL_GEOM = 1e-9
 # Distance, on unit-scale inputs, that a point must lie outside the hull of
 # the others to be extreme, or within the hull's planes to be on its boundary.
 TOL_HULL = 1e-9
+# Largest coordinate magnitude a valid surface may have: beyond it the
+# tolerances' scale**3 and the dihedral kernel's max(l)**6 overflow.
+MAX_COORD = 1e50
 
 
 def coord_scale(points) -> float:
@@ -31,16 +35,6 @@ def coord_scale(points) -> float:
     if points.size == 0:
         return 1.0
     return max(1.0, float(np.max(np.abs(points))))
-
-
-def orientation(p0, p1, p2, p3, tol: float = TOL_GEOM) -> int:
-    """Sign of det(p1-p0, p2-p0, p3-p0); 0 when |det| <= tol * scale^3."""
-    p0, p1, p2, p3 = (np.asarray(p, dtype=float) for p in (p0, p1, p2, p3))
-    d = float(np.linalg.det(np.array([p1 - p0, p2 - p0, p3 - p0])))
-    s = coord_scale(np.array([p0, p1, p2, p3]))
-    if abs(d) <= tol * s**3:
-        return 0
-    return 1 if d > 0 else -1
 
 
 def canonical_edge(i: int, j: int) -> tuple[int, int]:
@@ -75,61 +69,52 @@ class ValidityReport:
 
 
 def _orient_consistently(faces: list[tuple[int, int, int]]):
-    """Propagate a consistent winding over face-adjacency; returns new faces.
+    """Flip faces so that neighbours agree on their winding; returns new faces.
 
-    Raises InvalidSurface if two adjacent faces cannot be reconciled (the
-    mesh is then not an orientable manifold along that edge).
+    The first face of each edge-connected component keeps its winding, and
+    a face flips exactly when it runs a shared edge the same way as its
+    oriented neighbour.  Raises InvalidSurface if no such flip assignment
+    exists (the mesh is then not an orientable manifold along that edge).
     """
     faces = [tuple(f) for f in faces]
-    edge_to_faces: dict[tuple[int, int], list[int]] = {}
-    for fi, f in enumerate(faces):
-        for k in range(3):
-            e = canonical_edge(f[k], f[(k + 1) % 3])
-            edge_to_faces.setdefault(e, []).append(fi)
+    # Edge -> (face, whether the face runs it from its lower endpoint).
+    runs: dict[tuple[int, int], list[tuple[int, bool]]] = {}
+    for fi, (a, b, c) in enumerate(faces):
+        for i, j in ((a, b), (b, c), (c, a)):
+            runs.setdefault(canonical_edge(i, j), []).append((fi, i < j))
 
-    oriented: list[tuple[int, int, int] | None] = [None] * len(faces)
+    flip: list[bool | None] = [None] * len(faces)
     for seed in range(len(faces)):
-        if oriented[seed] is not None:
+        if flip[seed] is not None:
             continue
-        oriented[seed] = faces[seed]
+        flip[seed] = False
         stack = [seed]
         while stack:
             fi = stack.pop()
-            f = oriented[fi]
-            directed = {(f[k], f[(k + 1) % 3]) for k in range(3)}
-            for k in range(3):
-                e = canonical_edge(f[k], f[(k + 1) % 3])
-                for gi in edge_to_faces[e]:
+            a, b, c = faces[fi]
+            for i, j in ((a, b), (b, c), (c, a)):
+                up = (i < j) != flip[fi]
+                for gi, g_up in runs[canonical_edge(i, j)]:
                     if gi == fi:
                         continue
-                    g = faces[gi]
-                    g_dir = {(g[k2], g[(k2 + 1) % 3]) for k2 in range(3)}
-                    g_rev = {(b, a) for a, b in g_dir}
-                    if oriented[gi] is None:
-                        # Neighbor must traverse the shared edge oppositely.
-                        if g_dir & directed:
-                            oriented[gi] = (g[0], g[2], g[1])
-                        else:
-                            oriented[gi] = g
+                    if flip[gi] is None:
+                        flip[gi] = g_up == up
                         stack.append(gi)
-                    else:
-                        og = oriented[gi]
-                        og_dir = {(og[k2], og[(k2 + 1) % 3]) for k2 in range(3)}
-                        shared = directed & og_dir
-                        if shared:
-                            raise InvalidSurface(
-                                f"non-orientable adjacency at edge {e}"
-                            )
-    return [f for f in oriented]
+                    elif (g_up != flip[gi]) == up:
+                        raise InvalidSurface(f"non-orientable adjacency at "
+                                             f"edge {canonical_edge(i, j)}")
+    return [(a, c, b) if fl else (a, b, c) for (a, b, c), fl in zip(faces, flip)]
 
 
 class PolyhedralSurface:
     """Closed triangle mesh: vertex coordinates plus oriented face triples."""
 
-    def __init__(self, vertices, faces, orient: bool = True):
+    def __init__(self, vertices, faces):
         self.vertices = np.asarray(vertices, dtype=float)
         faces = [tuple(int(i) for i in f) for f in faces]
-        if orient and faces and self._faces_indexable(faces):
+        n = len(self.vertices)
+        if faces and all(len(f) == 3 and all(0 <= i < n for i in f)
+                         for f in faces):
             try:
                 faces = _orient_consistently(faces)
                 if _signed_volume(self.vertices, faces) < 0:
@@ -139,10 +124,6 @@ class PolyhedralSurface:
         self.faces = faces
         self._report: ValidityReport | None = None
         self._hull_masks: tuple[np.ndarray, np.ndarray] | None = None
-
-    def _faces_indexable(self, faces) -> bool:
-        n = len(self.vertices)
-        return all(0 <= i < n for f in faces for i in f)
 
     @property
     def edges(self) -> list[tuple[int, int]]:
@@ -185,7 +166,8 @@ def _signed_volume(vertices, faces) -> float:
     tri = v[np.asarray(faces, dtype=int).reshape(-1, 3)]
     # A subnormal coordinate can flush an LU pivot to zero: det then flags a
     # division by zero and returns 0.0, right to the coordinates' precision.
-    with np.errstate(divide="ignore"):
+    # Coordinates beyond MAX_COORD can overflow it; validation rejects them.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         return float(np.sum(np.linalg.det(tri))) / 6.0
 
 
@@ -203,6 +185,10 @@ def surface_validate(s: PolyhedralSurface) -> ValidityReport:
         return rep
 
     scale = coord_scale(v)
+    if scale > MAX_COORD:
+        rep.add("coordinate-range",
+                f"max |coordinate| {scale:.3g} exceeds {MAX_COORD:g}")
+        return rep
     found = {}  # face position -> (tag, detail)
     for fi, f in enumerate(s.faces):
         if len(f) != 3:
@@ -277,7 +263,10 @@ def segments_cross_faces(p0, p1, tri) -> np.ndarray:
     triangle, each barycentric coordinate clearing 1e-9.
 
     Moeller-Trumbore in barycentric form, for all pairs in one pass; a
-    segment parallel to a triangle (|det| < 1e-14) never crosses it.
+    segment parallel to a triangle's plane never crosses it.  Parallel means
+    |det| <= 1e-12 |d| |e1 x e2|, the sine of the angle between them below
+    1e-12, so the test does not depend on where the points sit or on their
+    scale.
     """
     tol = 1e-9
     a = tri[:, 0]
@@ -285,6 +274,8 @@ def segments_cross_faces(p0, p1, tri) -> np.ndarray:
     d = (p1 - p0)[:, None, :]                      # (K, 1, 3)
     h = np.cross(d, e2)                            # (K, F, 3)
     det = np.sum(e1 * h, axis=-1)
+    crossing = np.abs(det) > 1e-12 * (np.linalg.norm(d, axis=-1)
+                                      * np.linalg.norm(np.cross(e1, e2), axis=-1))
     sv = p0[:, None, :] - a
     q = np.cross(sv, e1)
     # Parallel pairs divide by zero, or overflow where det is subnormal;
@@ -294,7 +285,7 @@ def segments_cross_faces(p0, p1, tri) -> np.ndarray:
         u = inv * np.sum(sv * h, axis=-1)
         v = inv * np.sum(d * q, axis=-1)
         t = inv * np.sum(e2 * q, axis=-1)
-        return ((np.abs(det) >= 1e-14) & (u > tol) & (u < 1 - tol)
+        return (crossing & (u > tol) & (u < 1 - tol)
                 & (v > tol) & (v < 1 - tol) & (u + v < 1 - tol)
                 & (t > tol) & (t < 1 - tol))
 
@@ -334,12 +325,6 @@ def hull_masks(points) -> tuple[np.ndarray, np.ndarray]:
             continue
         extreme[i] = _hull_excess(others, pts[i:i + 1])[0] > tol
     return extreme, _hull_excess(hull, pts) >= -tol
-
-
-def extreme_vertex_mask(points) -> np.ndarray:
-    """True where a point is an extreme point of the convex hull of all
-    points (see ``hull_masks``)."""
-    return hull_masks(points)[0]
 
 
 def is_weakly_convex(s: PolyhedralSurface):

@@ -163,11 +163,6 @@ def classify_points(s: PolyhedralSurface, p, tol: float = geom.TOL_GEOM):
     return np.where(dist <= tol * geom.coord_scale(v), 0, inside)
 
 
-def classify_point(s: PolyhedralSurface, p, tol: float = geom.TOL_GEOM) -> int:
-    """+1 strictly inside, 0 on the boundary (within tol*scale), -1 outside."""
-    return int(classify_points(s, np.reshape(p, (1, 3)), tol)[0])
-
-
 # Vertex triples of the four faces; face k omits vertex k.
 _TET_FACES = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
 _EDGE_TAIL = [i for i, _ in _TET_EDGES]
@@ -198,16 +193,14 @@ def _tet_probe_points(pts):
 def tet_admissible(s: PolyhedralSurface, tets, tol: float = geom.TOL_GEOM):
     """Candidate filter: the tetrahedron must lie inside the surface.
 
-    ``tets`` is one vertex-index 4-tuple or a stack (C, 4); the result is a
-    bool for one and a bool array (C,) for a stack.  A candidate is
-    admissible when its volume exceeds tol*scale**3, its centroid is
-    strictly inside, none of its 46 edge and face probe points is outside
-    (``classify_points``), and no tetrahedron edge that is not a surface
-    edge properly crosses a surface face.  Every stage runs on the whole
-    stack at once.
+    ``tets`` is a stack (C, 4) of vertex-index 4-tuples, and the result a
+    bool array (C,).  A candidate is admissible when its volume exceeds
+    tol*scale**3, its centroid is strictly inside, none of its 46 edge and
+    face probe points is outside (``classify_points``), and no tetrahedron
+    edge that is not a surface edge properly crosses a surface face.  Every
+    stage runs on the whole stack at once.
     """
-    tets = np.asarray(tets, dtype=int)
-    idx = tets.reshape(-1, 4)
+    idx = np.asarray(tets, dtype=int).reshape(-1, 4)
     v = s.vertices
     pts = v[idx]
     scale = geom.coord_scale(v)
@@ -228,7 +221,7 @@ def tet_admissible(s: PolyhedralSurface, tets, tol: float = geom.TOL_GEOM):
     crossing = geom.segments_cross_faces(v[tail[owner, edge]], v[head[owner, edge]],
                                          v[np.asarray(s.faces)]).any(axis=1)
     ok[live[owner[crossing]]] = False
-    return bool(ok[0]) if tets.ndim == 1 else ok
+    return ok
 
 
 def tri_validate(t: Triangulation) -> ValidityReport:
@@ -330,7 +323,7 @@ def find_decomposition(s: PolyhedralSurface, budget: int = 200_000,
 
     pts = s.vertices
     subsets = list(combinations(range(n), 4))
-    admissible = tet_admissible(s, np.array(subsets, dtype=int).reshape(-1, 4))
+    admissible = tet_admissible(s, subsets)
     candidates = [tet for tet, ok in zip(subsets, admissible) if ok]
     n_candidates = len(candidates)
 

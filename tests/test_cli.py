@@ -3,17 +3,11 @@ import json
 import math
 import os
 
-import numpy as np
 import pytest
 
 from rigidity_lab import cli
 from rigidity_lab import generators as gen
-from rigidity_lab.cli import (
-    PolyhedronDocument,
-    from_obj,
-    main,
-    to_obj,
-)
+from rigidity_lab.cli import PolyhedronDocument, main
 from rigidity_lab.errors import ParseError
 
 
@@ -133,13 +127,12 @@ def test_export_obj(capsys):
 def test_export_roundtrip_precision(capsys):
     rc, out, _ = run(capsys, "export", "schonhardt", "--theta", "0.37")
     assert rc == 0
-    doc = from_obj(out)
+    exported = [[float(x) for x in ln.split()[1:]]
+                for ln in out.splitlines() if ln.startswith("v ")]
     rc, gen_out, _ = run(capsys, "generate", "schonhardt",
                          "--theta", "0.37")
-    orig = PolyhedronDocument.from_json(gen_out)
-    a = np.array(doc.vertices)
-    b = np.array(orig.vertices)
-    assert np.max(np.abs(a - b)) <= 1e-12
+    # %.17g round-trips every double exactly.
+    assert exported == PolyhedronDocument.from_json(gen_out).vertices
 
 
 def test_export_unknown_format(capsys):
@@ -502,3 +495,65 @@ def test_generator_defaults_are_unchanged(capsys):
     _, explicit, _ = run(capsys, "generate", "t-poly", "--shift", "0",
                          "--ext-r", "2.5")
     assert default == explicit
+
+
+def test_builder_gets_exactly_its_declared_flags(capsys, monkeypatch):
+    seen = []
+    build, flags = cli.GENERATORS["t-poly"]
+    monkeypatch.setitem(cli.GENERATORS, "t-poly",
+                        (lambda f: seen.append(f) or build(f), flags))
+    rc, _, _ = run(capsys, "generate", "t-poly", "--shift", "0.25")
+    assert rc == 0
+    assert seen == [{"shift": 0.25, "hull-theta": math.pi / 6.0,
+                     "hull-r": 1.0, "hull-h": 2.0,
+                     "ext-theta": math.pi / 6.0, "ext-r": 2.5, "ext-h": 4.0}]
+
+
+def test_builder_reading_an_undeclared_flag_raises(monkeypatch):
+    build, flags = cli.GENERATORS["schonhardt"]
+    monkeypatch.setitem(cli.GENERATORS, "schonhardt",
+                        (lambda f: build({**f, "r": f["hull-r"]}), flags))
+    with pytest.raises(KeyError, match="hull-r"):
+        main(["generate", "schonhardt"])
+
+
+@pytest.mark.parametrize("argv", [
+    ("schonhardt", "--r", "nan"),
+    ("schonhardt", "--h", "inf"),
+    ("t-poly", "--shift", "nan"),
+    ("t-poly", "--shift", "inf"),
+    ("t-poly", "--ext-r", "inf"),
+    ("t-poly", "--hull-h", "nan"),
+])
+def test_non_finite_generator_parameter_is_bad_params(capsys, argv):
+    for command in ("generate", "analyze"):
+        rc, out, err = run(capsys, command, *argv)
+        assert (rc, out) == (2, "")
+        assert err.startswith("BadParams: ") and err.count("\n") == 1
+
+
+def _scaled_tetra(scale: float) -> dict:
+    return {**_TETRA, "vertices": [[scale * x for x in v]
+                                   for v in _TETRA["vertices"]]}
+
+
+@pytest.mark.parametrize("scale", [1e60, 1e103, 1e200])
+def test_huge_coordinates_are_invalid_surface(tmp_path, capsys, scale):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(_scaled_tetra(scale)))
+    for argv in (["analyze", str(path)], ["decompose", str(path)],
+                 ["analyze", "schonhardt", "--r", repr(scale),
+                  "--h", repr(scale)],
+                 ["decompose", "schonhardt", "--r", repr(scale)]):
+        rc, out, err = run(capsys, *argv)
+        assert (rc, out) == (2, ""), argv
+        assert err.startswith("InvalidSurface: ") and err.count("\n") == 1
+        assert "[coordinate-range]" in err
+
+
+def test_largest_coordinates_still_analyze(tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(_scaled_tetra(1e50)))
+    rc, out, err = run(capsys, "analyze", str(path))
+    assert (rc, err) == (0, "")
+    assert out.endswith("verdict: Rigid\n")

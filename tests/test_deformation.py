@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from scipy.spatial.transform import Rotation
 
 from rigidity_lab import generators as gen
 from rigidity_lab.deformation import (
@@ -10,6 +12,7 @@ from rigidity_lab.deformation import (
     trivial_motions,
     twist_mode,
 )
+from rigidity_lab.geom import PolyhedralSurface
 
 PI = math.pi
 
@@ -82,3 +85,38 @@ def test_pushed_pair_verdicts():
     _, v_pushed = deformation_space(pushed)
     assert v_convex.kind.value == "Rigid"
     assert v_pushed.kind.value == "Flexible"
+
+
+_TETRAHEDRON = PolyhedralSurface(np.vstack([np.zeros(3), np.eye(3)]),
+                                 [(0, 2, 1), (0, 1, 3), (0, 3, 2), (1, 2, 3)])
+
+
+def _signature(s):
+    d, verdict = deformation_space(s)
+    return d.nullity, d.trivial_dim, verdict.kind
+
+
+# Rigid and flexible surfaces, with their signature where they are built.
+_PLACED = [(s, _signature(s))
+           for s in (_TETRAHEDRON, gen.octahedron(),
+                     gen.schonhardt(gen.SchonhardtParams(0.3, 1.0, 2.0)),
+                     gen.schonhardt(gen.SchonhardtParams(PI / 6, 1.0, 2.0)),
+                     gen.pushed_vertex_pair()[1])]
+_UNIT = st.floats(-1.0, 1.0)
+_SHIFT = st.floats(-300.0, 300.0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(quat=st.tuples(_UNIT, _UNIT, _UNIT, _UNIT).filter(
+           lambda q: np.linalg.norm(q) > 0.1),
+       shift=st.tuples(_SHIFT, _SHIFT, _SHIFT),
+       scale=st.floats(1.0, 1e5))
+@example(quat=(0.0, 0.0, 0.0, 1.0), shift=(300.0, 0.0, 0.0), scale=1.0)
+@example(quat=(0.0, 0.0, 0.0, 1.0), shift=(0.0, 0.0, 0.0), scale=1e5)
+def test_deformation_verdict_invariant_under_similarity(quat, shift, scale):
+    rotation = Rotation.from_quat(quat).as_matrix()
+    for s, signature in _PLACED:
+        moved = PolyhedralSurface(scale * s.vertices @ rotation.T
+                                  + np.asarray(shift), s.faces)
+        assert _signature(moved) == signature
+    assert [sig[:2] for _, sig in _PLACED] == [(6, 6)] * 3 + [(7, 6)] * 2

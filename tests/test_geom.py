@@ -10,10 +10,8 @@ from rigidity_lab.errors import DegenerateVertexSet, InvalidSurface
 from rigidity_lab.geom import (
     PolyhedralSurface,
     canonical_edge,
-    extreme_vertex_mask,
     hull_masks,
     is_weakly_convex,
-    orientation,
     surface_validate,
     volume,
 )
@@ -32,7 +30,7 @@ def test_orientation_consistency_fixes_flipped_faces():
     base = gen.octahedron()
     faces = list(base.faces)
     flipped = [faces[0][::-1]] + faces[1:]
-    s = PolyhedralSurface(base.vertices, flipped)  # orient=True repairs it
+    s = PolyhedralSurface(base.vertices, flipped)  # orientation repairs it
     assert surface_validate(s).ok
     assert volume(s) == pytest.approx(4.0 / 3.0, abs=1e-12)
 
@@ -46,13 +44,6 @@ def test_volume_cube_with_flat_vertex():
                                                                 abs=1e-12)
 
 
-def test_orientation_predicate_signs():
-    p = np.eye(3)
-    assert orientation([0, 0, 0], p[0], p[1], p[2]) == 1
-    assert orientation([0, 0, 0], p[1], p[0], p[2]) == -1
-    assert orientation([0, 0, 0], p[0], p[1], [1, 1, 0]) == 0
-
-
 def test_canonical_edge_orders_endpoints():
     assert canonical_edge(3, 1) == (1, 3)
     assert canonical_edge(1, 3) == (1, 3)
@@ -62,24 +53,22 @@ def test_degenerate_face_is_reported():
     pts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0],
                     [0.0, 0.0, 1.0]])
     faces = [(0, 1, 2), (0, 2, 3), (0, 3, 1), (1, 3, 2)]
-    report = surface_validate(PolyhedralSurface(pts, faces, orient=False))
-    assert not report.ok
-    assert any(v.tag == "degenerate-face" for v in report.violations)
+    report = surface_validate(PolyhedralSurface(pts, faces))
+    assert [v.tag for v in report.violations] == ["degenerate-face"]
 
 
 def test_repeated_vertex_face_is_reported():
     base = gen.octahedron()
     faces = [(0, 0, 2)] + list(base.faces[1:])
-    report = surface_validate(PolyhedralSurface(base.vertices, faces,
-                                                orient=False))
-    assert not report.ok
-    assert any(v.tag == "repeated-vertex" for v in report.violations)
+    report = surface_validate(PolyhedralSurface(base.vertices, faces))
+    assert [v.tag for v in report.violations] == ["repeated-vertex"]
 
 
 def test_open_surface_is_reported():
     base = gen.octahedron()
-    s = PolyhedralSurface(base.vertices, base.faces[:-1], orient=False)
-    assert not surface_validate(s).ok
+    s = PolyhedralSurface(base.vertices, base.faces[:-1])
+    tags = [v.tag for v in surface_validate(s).violations]
+    assert tags == ["edge-incidence"] * 3 + ["euler"]
 
 
 def test_weak_convexity_octahedron():
@@ -115,7 +104,7 @@ def test_weak_convexity_pushed_pair():
 
 def test_extreme_vertex_mask_interior_point():
     pts = np.vstack([gen.octahedron().vertices, [[0.0, 0.0, 0.0]]])
-    mask = extreme_vertex_mask(pts)
+    mask, _ = hull_masks(pts)
     assert list(mask) == [True] * 6 + [False]
 
 
@@ -179,7 +168,7 @@ def test_flat_vertex_set_has_no_hull():
     flat = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
                      [1.0, 1.0, 0.0]])
     with pytest.raises(DegenerateVertexSet):
-        extreme_vertex_mask(flat)
+        hull_masks(flat)
 
 
 def test_crossing_octahedron_is_reported():
@@ -201,3 +190,15 @@ def test_doubly_covered_triangle_is_reported():
         decompose(s)
     with pytest.raises(InvalidSurface):
         is_weakly_convex(s)
+
+
+def test_coplanar_edge_and_face_do_not_cross_after_a_similarity():
+    # Edge (6, 7) and face (4, 5, 8) of the flat-vertex cube share the top
+    # plane.  Moved like this, their crossing determinant rounds to 1.4e-14,
+    # a sine of 1.3e-16 between the edge and the face's plane.
+    rotation = Rotation.from_quat((-0.3603622918580215, 1.0, -1.0,
+                                   -0.9230376367614741)).as_matrix()
+    s = gen.cube_with_flat_vertex()
+    moved = PolyhedralSurface(5.925238189848909 * s.vertices @ rotation.T
+                              + np.array([0.0, 9.0, 0.0]), s.faces)
+    assert surface_validate(moved).ok

@@ -7,8 +7,9 @@ per-tetrahedron sum of scalar dihedral angles that total angles came from
 before the stacked kernel, a finite-difference M_T that recomputes every
 total angle for every perturbation, high-precision differences of the
 dihedral-angle formula, the per-candidate, per-point decomposition filter,
-and the per-vertex linear program that decided hull extremality before
-Qhull did.  The fast
+the per-vertex linear program that decided hull extremality before Qhull
+did, and the region growing that oriented faces by comparing directed-edge
+sets.  The fast
 paths must give the same verdicts and bitwise the same matrices; the exact
 M_T, which replaces a difference quotient by a derivative, must agree to a
 tolerance, and so must the kernel's total angles, whose arccos can round
@@ -37,7 +38,7 @@ from rigidity_lab.cayley_menger import (
     is_valid_tetra,
 )
 from rigidity_lab.cli import analyze_surface
-from rigidity_lab.errors import NonPositiveLength, OutOfDomain
+from rigidity_lab.errors import InvalidSurface, NonPositiveLength, OutOfDomain
 from rigidity_lab.geom import PolyhedralSurface
 from rigidity_lab.stiffness import (
     DEFAULT_SCHEME,
@@ -249,7 +250,7 @@ def _segment_crosses_triangle(p0, p1, a, b, c, tol) -> bool:
     e1, e2 = b - a, c - a
     h = np.cross(d, e2)
     det = np.dot(e1, h)
-    if abs(det) < 1e-14:
+    if abs(det) <= 1e-12 * np.linalg.norm(d) * np.linalg.norm(np.cross(e1, e2)):
         return False  # parallel; grazing contact handled by point sampling
     f = 1.0 / det
     sv = p0 - a
@@ -333,6 +334,45 @@ def lp_extreme_mask(points, tol=geom.TOL_HULL):
                       bounds=[(0, None)] * (m + 1), method="highs")
         mask[i] = not res.success or res.fun > tol * scale
     return mask
+
+
+def region_growing_orient(faces):
+    """Propagate a consistent winding over face adjacency, comparing the
+    directed-edge sets of each face and its neighbours."""
+    faces = [tuple(f) for f in faces]
+    edge_to_faces = {}
+    for fi, f in enumerate(faces):
+        for k in range(3):
+            e = geom.canonical_edge(f[k], f[(k + 1) % 3])
+            edge_to_faces.setdefault(e, []).append(fi)
+
+    oriented = [None] * len(faces)
+    for seed in range(len(faces)):
+        if oriented[seed] is not None:
+            continue
+        oriented[seed] = faces[seed]
+        stack = [seed]
+        while stack:
+            fi = stack.pop()
+            f = oriented[fi]
+            directed = {(f[k], f[(k + 1) % 3]) for k in range(3)}
+            for k in range(3):
+                e = geom.canonical_edge(f[k], f[(k + 1) % 3])
+                for gi in edge_to_faces[e]:
+                    if gi == fi:
+                        continue
+                    g = faces[gi]
+                    g_dir = {(g[k2], g[(k2 + 1) % 3]) for k2 in range(3)}
+                    if oriented[gi] is None:
+                        # Neighbor must traverse the shared edge oppositely.
+                        oriented[gi] = (g[0], g[2], g[1]) if g_dir & directed else g
+                        stack.append(gi)
+                    else:
+                        og = oriented[gi]
+                        og_dir = {(og[k2], og[(k2 + 1) % 3]) for k2 in range(3)}
+                        if directed & og_dir:
+                            raise InvalidSurface(f"non-orientable adjacency at edge {e}")
+    return oriented
 
 
 # -- inputs ---------------------------------------------------------------
@@ -716,7 +756,7 @@ def _extremality_points():
 def test_hull_mask_matches_lp_oracle():
     masks = []
     for pts in _extremality_points():
-        mask = geom.extreme_vertex_mask(pts)
+        mask, _ = geom.hull_masks(pts)
         assert list(mask) == list(lp_extreme_mask(pts)), pts
         masks.append(mask)
     assert all(m.all() for m in masks[:3]) and not all(m.all() for m in masks)
@@ -737,3 +777,41 @@ def test_analysis_solves_extremality_once(monkeypatch):
     assert report["census"] == {"m": 0, "k": 1}
     assert report["weakly_convex"]["overall"] is False
     assert sizes.count(n) == 1 and set(sizes) <= {n, n - 1}
+
+
+# -- face orientation -----------------------------------------------------
+
+def _face_lists():
+    """Hull face lists with random per-face flips, open and duplicated-face
+    versions of them, and the octahedron's and a T-polyhedron's faces."""
+    rng = np.random.default_rng(13)
+    for n in (6, 12, 24, 24, 40) * 20:
+        faces = [tuple(int(i) for i in f)
+                 for f in ConvexHull(_sphere_points(rng, n)).simplices]
+        flipped = [(a, c, b) if rng.integers(2) else (a, b, c)
+                   for a, b, c in faces]
+        yield flipped
+        yield flipped[1:]                                 # open
+        k = int(rng.integers(len(faces)))
+        yield flipped + [flipped[k]]                      # duplicated
+        yield flipped + [flipped[k][::-1]]                # duplicated, flipped
+        a, _, c = faces[k]
+        yield flipped[:k] + [(a, a, c)] + flipped[k + 1:]     # repeated vertex
+    for s in (gen.octahedron(), _tpoly(0.3)):
+        yield list(s.faces)
+        yield [f[::-1] for f in s.faces]
+
+
+def test_orientation_matches_region_growing():
+    lists = list(_face_lists())
+    raised = 0
+    for faces in lists:
+        try:
+            expected = region_growing_orient(faces)
+        except InvalidSurface:
+            raised += 1
+            with pytest.raises(InvalidSurface):
+                geom._orient_consistently(faces)
+            continue
+        assert geom._orient_consistently(faces) == expected, faces
+    assert 0 < raised < len(lists)

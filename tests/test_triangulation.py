@@ -11,7 +11,7 @@ from rigidity_lab.triangulation import (
     BudgetExceeded,
     NonDecomposable,
     Triangulation,
-    classify_point,
+    classify_points,
     fan_triangulation,
     find_decomposition,
     tet_admissible,
@@ -116,27 +116,25 @@ def test_degenerate_tet_is_reported():
 
 def test_classify_point():
     s = gen.octahedron()
-    assert classify_point(s, [0.0, 0.0, 0.0]) == 1       # inside
-    assert classify_point(s, [2.0, 0.0, 0.0]) == -1      # outside
-    assert classify_point(s, [1.0, 0.0, 0.0]) == 0       # on the boundary
+    # Inside, outside, on the boundary.
+    assert list(classify_points(s, [[0.0, 0.0, 0.0], [2.0, 0.0, 0.0],
+                                    [1.0, 0.0, 0.0]])) == [1, -1, 0]
 
 
 def test_tet_admissible_respects_surface():
     s = gen.schonhardt(gen.SchonhardtParams(math.pi / 6.0, 1.0, 2.0))
     # Every 4-subset of a critically twisted Schonhardt polyhedron pokes
     # outside: no admissible tetrahedron exists.
-    assert not any(tet_admissible(s, tet)
-                   for tet in combinations(range(6), 4))
-    assert any(tet_admissible(gen.octahedron(), tet)
-               for tet in combinations(range(6), 4))
+    subsets = list(combinations(range(6), 4))
+    assert not tet_admissible(s, subsets).any()
+    assert tet_admissible(gen.octahedron(), subsets).any()
 
 
 @pytest.mark.parametrize("theta", [0.0, math.pi / 6.0])
 def test_tet_admissible_stack_equals_single_calls(theta):
     s = gen.schonhardt(gen.SchonhardtParams(theta, 1.0, 2.0))
     subsets = list(combinations(range(6), 4))
-    single = [tet_admissible(s, tet) for tet in subsets]
-    assert all(type(ok) is bool for ok in single)
+    single = [bool(tet_admissible(s, [tet])[0]) for tet in subsets]
     stacked = tet_admissible(s, np.array(subsets))
     assert stacked.dtype == bool and list(stacked) == single
 
