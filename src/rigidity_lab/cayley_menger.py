@@ -116,38 +116,37 @@ def _face_violation(lengths: TetraLengths):
     return None
 
 
-def is_valid_tetra(lengths: TetraLengths, tol_d: float = TOL_D) -> bool:
+def is_valid_tetra(lengths: TetraLengths) -> bool:
     """True iff all face triangle inequalities hold strictly and D > 0."""
     if _face_violation(lengths) is not None:
         return False
-    threshold = tol_d * float(np.max(lengths.as_array())) ** 6
+    threshold = TOL_D * float(np.max(lengths.as_array())) ** 6
     return cm_determinant(lengths) > threshold
 
 
-def dihedral_angle(lengths: TetraLengths, edge, tol_d: float = TOL_D,
-                   tol_clamp: float = TOL_CLAMP) -> float:
+def dihedral_angle(lengths: TetraLengths, edge) -> float:
     """Interior dihedral angle at an edge, in (0, pi).
 
     Uses arccos(D_ij / sqrt(2 e_ij^2 D + D_ij^2)); the argument is clamped
-    to [-1, 1] when within tol_clamp of the boundary.
+    to [-1, 1] when within TOL_CLAMP of the boundary.
     """
     i, j = _normalize_edge(edge)
     bad = _face_violation(lengths)
     if bad is not None:
         raise TriangleInequalityViolated(f"face {bad} violates the triangle inequality")
     d = cm_determinant(lengths)
-    threshold = tol_d * float(np.max(lengths.as_array())) ** 6
+    threshold = TOL_D * float(np.max(lengths.as_array())) ** 6
     if d <= threshold:
         raise DegenerateTetra(f"Cayley-Menger determinant {d} <= {threshold}")
     dij = cm_cofactor(lengths, (i, j))
     e = lengths.get((i, j))
     arg = dij / math.sqrt(2.0 * e * e * d + dij * dij)
     if arg > 1.0:
-        if arg > 1.0 + tol_clamp:
+        if arg > 1.0 + TOL_CLAMP:
             raise DegenerateTetra(f"arccos argument {arg} out of range")
         arg = 1.0
     elif arg < -1.0:
-        if arg < -1.0 - tol_clamp:
+        if arg < -1.0 - TOL_CLAMP:
             raise DegenerateTetra(f"arccos argument {arg} out of range")
         arg = -1.0
     return math.acos(arg)

@@ -398,8 +398,8 @@ def _sweep_samples(lo: float, hi: float, step: float) -> list[float]:
 
 
 def sweep_row(name: str, param: str, value: float, args) -> dict:
-    """One sweep sample: build the document with ``param`` set to ``value``
-    and return the row dict; a generator error becomes the row's error."""
+    """One sweep sample: the row dict of the document with ``param`` set to
+    ``value``; a generator or validation error becomes the row's error."""
     ns = argparse.Namespace(**vars(args))
     setattr(ns, param.replace("-", "_"), value)
     ns.name = name
@@ -407,6 +407,7 @@ def sweep_row(name: str, param: str, value: float, args) -> dict:
     try:
         doc = _make_document(ns)
         s = doc.surface()
+        s.require_valid()
     except RigidityLabError as exc:
         row["error"] = f"{type(exc).__name__}: {exc}"
         return row

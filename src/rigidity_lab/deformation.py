@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateVertexSet, NoNontrivialMode
+from .errors import NoNontrivialMode
 from .geom import PolyhedralSurface
 from .stiffness import Verdict, VerdictKind
 
@@ -57,10 +57,6 @@ def trivial_motions(s: PolyhedralSurface) -> np.ndarray:
     array."""
     s.require_valid()
     p = s.vertices
-    centered = p - p.mean(axis=0)
-    _, sv, _ = np.linalg.svd(centered)
-    if np.sum(sv > 1e-12 * max(1.0, sv[0])) < 2:
-        raise DegenerateVertexSet("vertices are collinear; Killing fields are dependent")
     fields = []
     for axis in range(3):
         q = np.zeros_like(p)
@@ -79,9 +75,9 @@ def _trivial_frame(s: PolyhedralSurface) -> np.ndarray:
     return q
 
 
-def deformation_space(s: PolyhedralSurface, tol_sv: float = TOL_SV):
+def deformation_space(s: PolyhedralSurface):
     """Null space of the rigidity matrix via SVD thresholding at
-    tol_sv * sigma_max; the verdict is Flexible iff the nullity exceeds the
+    TOL_SV * sigma_max; the verdict is Flexible iff the nullity exceeds the
     number of trivial motions in it.
 
     That number counts the principal angles between the trivial motions and
@@ -92,7 +88,7 @@ def deformation_space(s: PolyhedralSurface, tol_sv: float = TOL_SV):
     ncols = a.shape[1]
     _, sv, vt = np.linalg.svd(a, full_matrices=True)
     sigma_max = sv[0] if len(sv) else 0.0
-    cut = tol_sv * max(sigma_max, 1e-300)
+    cut = TOL_SV * max(sigma_max, 1e-300)
     rank = int(np.sum(sv > cut))
     kept = sv[rank - 1] if rank else np.inf
     dropped = sv[rank] if rank < len(sv) else 0.0
@@ -111,7 +107,7 @@ def deformation_space(s: PolyhedralSurface, tol_sv: float = TOL_SV):
         "trivial_dim": trivial_dim,
         "nontrivial_dim": d.nontrivial_dim,
         "spectral_gap": gap,
-        "tol_sv": tol_sv,
+        "tol_sv": TOL_SV,
     }
     kind = VerdictKind.FLEXIBLE if d.nontrivial_dim > 0 else VerdictKind.RIGID
     return d, Verdict(kind, evidence)

@@ -297,9 +297,10 @@ def t_polyhedron(params: TPolyParams):
 
     surface = PolyhedralSurface(vertices, faces)
     rep = surface.validate()
-    if not rep.ok:
+    if any(v.tag == "self-intersection" for v in rep.violations):
         raise SelfIntersecting(f"cover recipe produced an invalid surface: {rep}",
                                witness=tuple(str(v) for v in rep.violations))
+    surface.require_valid()
     labels = {k: "exterior" for k in o}
     labels.update({k: "hull" for k in i})
     return surface, labels

@@ -7,6 +7,10 @@ shared edge opposite ways, then all are flipped if the signed volume comes
 out negative.  Weak convexity (every vertex extreme) and flatness (on the
 hull boundary, not extreme) are read off one Qhull convex hull of the
 vertices.
+
+Every degeneracy and boundary tolerance is TOL_GEOM times ``coord_scale``
+(the largest distance of a point from the points' mean) to the quantity's
+length dimension, so no decision depends on where the input sits or its size.
 """
 
 from __future__ import annotations
@@ -18,23 +22,20 @@ from scipy.spatial import ConvexHull, QhullError
 
 from .errors import DegenerateVertexSet, InvalidSurface
 
-# Degeneracy tolerance on unit-scale inputs; predicates rescale it by the
-# coordinate magnitude raised to the quantity's length dimension.
+# Degeneracy and boundary tolerance on inputs of unit size.
 TOL_GEOM = 1e-9
-# Distance, on unit-scale inputs, that a point must lie outside the hull of
-# the others to be extreme, or within the hull's planes to be on its boundary.
-TOL_HULL = 1e-9
 # Largest coordinate magnitude a valid surface may have: beyond it the
 # tolerances' scale**3 and the dihedral kernel's max(l)**6 overflow.
 MAX_COORD = 1e50
 
 
 def coord_scale(points) -> float:
-    """Max coordinate magnitude, floored at 1, used to scale tolerances."""
+    """Largest distance of a point from the points' mean (0 for no points):
+    the one length every tolerance is measured against."""
     points = np.asarray(points, dtype=float)
-    if points.size == 0:
-        return 1.0
-    return max(1.0, float(np.max(np.abs(points))))
+    if not len(points):
+        return 0.0
+    return float(np.max(np.linalg.norm(points - points.mean(axis=0), axis=-1)))
 
 
 def canonical_edge(i: int, j: int) -> tuple[int, int]:
@@ -184,11 +185,12 @@ def surface_validate(s: PolyhedralSurface) -> ValidityReport:
         rep.add("non-finite", "vertex coordinates contain NaN/inf")
         return rep
 
-    scale = coord_scale(v)
-    if scale > MAX_COORD:
+    largest = float(np.max(np.abs(v), initial=0.0))
+    if largest > MAX_COORD:
         rep.add("coordinate-range",
-                f"max |coordinate| {scale:.3g} exceeds {MAX_COORD:g}")
+                f"max |coordinate| {largest:.3g} exceeds {MAX_COORD:g}")
         return rep
+    scale = coord_scale(v)
     found = {}  # face position -> (tag, detail)
     for fi, f in enumerate(s.faces):
         if len(f) != 3:
@@ -306,12 +308,12 @@ def hull_masks(points) -> tuple[np.ndarray, np.ndarray]:
     all of them; DegenerateVertexSet when they span no 3-D hull.
 
     A point is extreme when it is a vertex of that hull and lies more than
-    TOL_HULL * scale outside the hull of the other points (or those span no
+    TOL_GEOM * scale outside the hull of the other points (or those span no
     3-D hull).  It is on the boundary when no facet plane of the hull has
-    it more than TOL_HULL * scale inside.
+    it more than TOL_GEOM * scale inside.
     """
     pts = np.asarray(points, dtype=float)
-    tol = TOL_HULL * coord_scale(pts)
+    tol = TOL_GEOM * coord_scale(pts)
     try:
         hull = ConvexHull(pts)
     except (QhullError, ValueError) as exc:  # flat or too few points

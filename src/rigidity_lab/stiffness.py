@@ -126,7 +126,7 @@ def assemble_mt(t: Triangulation,
     else:
         m = _fd_mt(lengths, index, base, scheme)
     norm = float(np.max(np.abs(m))) if n else 0.0
-    rho = float(np.max(np.abs(m - m.T))) / max(1.0, norm) if n else 0.0
+    rho = float(np.max(np.abs(m - m.T))) / norm if norm else 0.0
     return StiffnessMatrix(matrix=m, scheme=scheme, symmetry_residual=rho)
 
 
@@ -172,14 +172,14 @@ def _fd_mt(lengths: np.ndarray, index: np.ndarray,
 
 def spectrum(m: StiffnessMatrix, tol_eig: float | None = None) -> Spectrum:
     """Eigenvalues of the symmetrized matrix, classified against
-    |lambda| <= tol_eig * max(1, ||M||_inf); tol_eig defaults to the
-    scheme's own cutoff."""
+    |lambda| <= tol_eig * max|M|, so the counts do not change when the
+    surface is scaled; tol_eig defaults to the scheme's own cutoff."""
     if tol_eig is None:
         tol_eig = m.scheme.tol_eig
     sym = m.symmetrized
     eig = np.linalg.eigvalsh(sym)
     norm = float(np.max(np.abs(sym))) if m.n else 0.0
-    cut = tol_eig * max(1.0, norm)
+    cut = tol_eig * norm
     n_neg = int(np.sum(eig < -cut))
     n_zero = int(np.sum(np.abs(eig) <= cut))
     return Spectrum(eigenvalues=eig, n_negative=n_neg, n_zero=n_zero,

@@ -137,9 +137,9 @@ def _face_distances(p, a, b, c):
     return np.linalg.norm(r, axis=1)
 
 
-def classify_points(s: PolyhedralSurface, p, tol: float = geom.TOL_GEOM):
+def classify_points(s: PolyhedralSurface, p):
     """Classes of the points ``p`` (N, 3): +1 strictly inside, 0 on the
-    boundary (within tol*scale), -1 outside.
+    boundary (within TOL_GEOM * scale), -1 outside.
 
     One pass per surface face keeps the running minimum distance to the
     surface and adds up the generalized winding number (the solid angle of
@@ -160,7 +160,7 @@ def classify_points(s: PolyhedralSurface, p, tol: float = geom.TOL_GEOM):
                  + np.einsum("ij,ij->i", c, a) * lb)
         total += 2.0 * np.arctan2(det, denom)
     inside = np.where(total / (4.0 * math.pi) > 0.5, 1, -1)
-    return np.where(dist <= tol * geom.coord_scale(v), 0, inside)
+    return np.where(dist <= geom.TOL_GEOM * geom.coord_scale(v), 0, inside)
 
 
 # Vertex triples of the four faces; face k omits vertex k.
@@ -190,26 +190,26 @@ def _tet_probe_points(pts):
                           axis=1)
 
 
-def tet_admissible(s: PolyhedralSurface, tets, tol: float = geom.TOL_GEOM):
+def tet_admissible(s: PolyhedralSurface, tets):
     """Candidate filter: the tetrahedron must lie inside the surface.
 
     ``tets`` is a stack (C, 4) of vertex-index 4-tuples, and the result a
     bool array (C,).  A candidate is admissible when its volume exceeds
-    tol*scale**3, its centroid is strictly inside, none of its 46 edge and
-    face probe points is outside (``classify_points``), and no tetrahedron
-    edge that is not a surface edge properly crosses a surface face.  Every
-    stage runs on the whole stack at once.
+    TOL_GEOM * scale**3, its centroid is strictly inside, none of its 46
+    edge and face probe points is outside (``classify_points``), and no
+    tetrahedron edge that is not a surface edge properly crosses a surface
+    face.  Every stage runs on the whole stack at once.
     """
     idx = np.asarray(tets, dtype=int).reshape(-1, 4)
     v = s.vertices
     pts = v[idx]
     scale = geom.coord_scale(v)
     vol = np.linalg.det(pts[:, 1:] - pts[:, :1]) / 6.0
-    ok = np.abs(vol) > tol * scale**3
+    ok = np.abs(vol) > geom.TOL_GEOM * scale**3
 
     live = np.flatnonzero(ok)
     probes = _tet_probe_points(pts[live])
-    cls = classify_points(s, probes.reshape(-1, 3), tol).reshape(probes.shape[:2])
+    cls = classify_points(s, probes.reshape(-1, 3)).reshape(probes.shape[:2])
     ok[live] = (cls[:, 0] == 1) & ~np.any(cls == -1, axis=1)
 
     live = np.flatnonzero(ok)
@@ -249,7 +249,8 @@ def tri_validate(t: Triangulation) -> ValidityReport:
     scale = geom.coord_scale(pts)
 
     n_surface = len(t.surface.vertices)
-    if npts < n_surface or not np.allclose(pts[:n_surface], t.surface.vertices):
+    if npts < n_surface or np.any(np.abs(pts[:n_surface] - t.surface.vertices)
+                                  > geom.TOL_GEOM * scale):
         rep.add("points-mismatch", "points must extend the surface vertex array")
         return rep
 

@@ -169,6 +169,18 @@ def test_sweep_schonhardt_near_critical(capsys):
     assert nullities == [6, 6, 7, 6, 6]
 
 
+def test_sweep_reports_an_invalid_sample_as_an_error_row(capsys):
+    # Both samples are flat and fail validation: each is one error row, and
+    # the sweep goes on.
+    rc, out, err = run(capsys, "sweep", "schonhardt", "r", "1..2",
+                       "--step", "1", "--h", "1e-12")
+    assert (rc, err) == (0, "")
+    rows = out.splitlines()[2:]
+    assert [r.split()[:3] for r in rows] == [["1", "ERROR", "InvalidSurface:"],
+                                             ["2", "ERROR", "InvalidSurface:"]]
+    assert all("[degenerate-volume]" in r for r in rows)
+
+
 def test_sweep_empty_range(capsys):
     rc, out, _ = run(capsys, "sweep", "schonhardt", "theta", "1.0..0.5",
                      "--step", "0.1", "--json")

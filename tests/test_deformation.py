@@ -110,13 +110,19 @@ _SHIFT = st.floats(-300.0, 300.0)
 @given(quat=st.tuples(_UNIT, _UNIT, _UNIT, _UNIT).filter(
            lambda q: np.linalg.norm(q) > 0.1),
        shift=st.tuples(_SHIFT, _SHIFT, _SHIFT),
-       scale=st.floats(1.0, 1e5))
-@example(quat=(0.0, 0.0, 0.0, 1.0), shift=(300.0, 0.0, 0.0), scale=1.0)
-@example(quat=(0.0, 0.0, 0.0, 1.0), shift=(0.0, 0.0, 0.0), scale=1e5)
-def test_deformation_verdict_invariant_under_similarity(quat, shift, scale):
+       scale=st.floats(1.0, 1e5),
+       seed=st.integers(0, 2**32 - 1))
+@example(quat=(0.0, 0.0, 0.0, 1.0), shift=(300.0, 0.0, 0.0), scale=1.0, seed=0)
+@example(quat=(0.0, 0.0, 0.0, 1.0), shift=(0.0, 0.0, 0.0), scale=1e5, seed=0)
+def test_deformation_verdict_invariant_under_similarity(quat, shift, scale,
+                                                        seed):
+    # Vertex v becomes vertex perm[v], with perm drawn from the seed.
     rotation = Rotation.from_quat(quat).as_matrix()
+    rng = np.random.default_rng(seed)
     for s, signature in _PLACED:
-        moved = PolyhedralSurface(scale * s.vertices @ rotation.T
-                                  + np.asarray(shift), s.faces)
+        perm = rng.permutation(len(s.vertices))
+        v = np.empty_like(s.vertices)
+        v[perm] = scale * s.vertices @ rotation.T + np.asarray(shift)
+        moved = PolyhedralSurface(v, [tuple(perm[list(f)]) for f in s.faces])
         assert _signature(moved) == signature
     assert [sig[:2] for _, sig in _PLACED] == [(6, 6)] * 3 + [(7, 6)] * 2

@@ -8,6 +8,7 @@ from rigidity_lab.errors import (
     BadParams,
     DegenerateDepth,
     ImaginaryHeight,
+    InvalidSurface,
     SelfIntersecting,
 )
 from rigidity_lab.geom import is_weakly_convex, surface_validate, volume
@@ -134,3 +135,13 @@ def test_t_polyhedron_rejects_poking_cavity():
                              gen.SchonhardtParams(PI / 6, 2.5, 4.0))
     with pytest.raises(SelfIntersecting):
         gen.t_polyhedron(params)
+
+
+def test_t_polyhedron_out_of_range_is_an_invalid_surface():
+    # Coordinates past MAX_COORD are a coordinate-range violation, not a
+    # self-intersection.
+    params = gen.TPolyParams(gen.SchonhardtParams(PI / 6, 1e59, 1e59),
+                             gen.SchonhardtParams(PI / 6, 1e60, 1e60))
+    with pytest.raises(InvalidSurface) as exc:
+        gen.t_polyhedron(params)
+    assert [v.tag for v in exc.value.report.violations] == ["coordinate-range"]

@@ -1,8 +1,9 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.spatial.transform import Rotation
 
 from rigidity_lab import generators as gen
@@ -16,6 +17,7 @@ from rigidity_lab.geom import (
     volume,
 )
 from rigidity_lab.pipeline import analyze_surface, decompose
+from rigidity_lab.triangulation import find_decomposition, tet_admissible
 
 
 def test_octahedron_is_valid_closed_surface():
@@ -108,13 +110,12 @@ def test_extreme_vertex_mask_interior_point():
     assert list(mask) == [True] * 6 + [False]
 
 
-def _pushed_cube(d, scale=1.0):
-    """The flat-vertex cube with its face-centre vertex pushed out by d,
-    then scaled."""
+def _pushed_cube(d):
+    """The flat-vertex cube with its face-centre vertex pushed out by d."""
     s = gen.cube_with_flat_vertex()
     v = s.vertices.copy()
     v[8, 2] += d
-    return PolyhedralSurface(scale * v, s.faces)
+    return PolyhedralSurface(v, s.faces)
 
 
 def _mask_cases():
@@ -153,15 +154,16 @@ def test_hull_masks_invariant_under_similarity_and_relabelling(quat, shift,
         got_extreme, got_boundary = hull_masks(moved)
         assert np.array_equal(got_extreme[perm], extreme)
         assert np.array_equal(got_boundary[perm], boundary)
-    # The band case, under scaling alone (translation and rotation change
-    # the coordinate scale that the tolerance follows): TOL_HULL * scale
-    # decides, so 2e-9 of the scale outside the hull of the others is
-    # extreme and 5e-10 is flat.
+    # The band case: TOL_GEOM * coord_scale decides, and the scale (0.9 of
+    # the cube's side) moves with the points, so a centre vertex 2e-9 of
+    # the side outside the hull of the others is extreme and 5e-10 is flat.
     for s in (1.0, 1e3, scale):
-        pushed, near = _pushed_cube(2e-9, s), _pushed_cube(5e-10, s)
-        assert pushed.extreme_mask().all() and not pushed.flat_mask().any()
-        assert list(near.extreme_mask()) == [True] * 8 + [False]
-        assert list(near.flat_mask()) == [False] * 8 + [True]
+        for d, extreme in ((2e-9, True), (5e-10, False)):
+            p = _pushed_cube(d).vertices
+            got_extreme, got_boundary = hull_masks(
+                s * p @ rotation.T + np.asarray(shift))
+            assert list(got_extreme) == [True] * 8 + [extreme]
+            assert got_boundary.all()
 
 
 def test_flat_vertex_set_has_no_hull():
@@ -202,3 +204,54 @@ def test_coplanar_edge_and_face_do_not_cross_after_a_similarity():
     moved = PolyhedralSurface(5.925238189848909 * s.vertices @ rotation.T
                               + np.array([0.0, 9.0, 0.0]), s.faces)
     assert surface_validate(moved).ok
+
+
+# Solids with the triangulation builder each is generated with (None: the
+# analysis searches for one).
+_SOLIDS = [
+    (PolyhedralSurface(np.vstack([np.zeros(3), np.eye(3)]),
+                       [(0, 2, 1), (0, 1, 3), (0, 3, 2), (1, 2, 3)]), None),
+    (gen.octahedron(), gen.octahedron_axis_triangulation),
+    (gen.cube_with_flat_vertex(), gen.cube_flat_triangulation),
+    (gen.schonhardt(gen.SchonhardtParams(math.pi / 6, 1.0, 2.0)), None),
+    (gen.pushed_vertex_pair()[1], gen.pushed_pair_triangulation),
+]
+
+
+def _placement_signature(s, triangulation):
+    """Validity, the search's outcome kind, the admissible candidates and
+    the analysis verdicts of a solid."""
+    if not surface_validate(s).ok:
+        return (False,)
+    subsets = list(combinations(range(len(s.vertices)), 4))
+    t = triangulation(s) if triangulation else None
+    report = analyze_surface(s, t=t)
+    return (True, type(find_decomposition(s)).__name__,
+            tuple(tet_admissible(s, subsets)), report["verdict"],
+            report.get("stiffness", {}).get("verdict"),
+            report["deformation"]["verdict"])
+
+
+_SIGNATURES = [_placement_signature(*solid) for solid in _SOLIDS]
+_FAR = st.floats(-1e3, 1e3)
+
+
+@settings(max_examples=20, deadline=None)
+@given(shift=st.tuples(_FAR, _FAR, _FAR),
+       scale=st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e))
+@example(shift=(700.0, 0.0, 0.0), scale=1.0)
+@example(shift=(0.0, 0.0, 0.0), scale=1e-3)
+@example(shift=(0.0, 0.0, 0.0), scale=1e10)
+@example(shift=(1000.0, 0.0, 0.0), scale=1.0)
+def test_verdicts_invariant_under_translation_and_scaling(shift, scale):
+    # Every tolerance follows coord_scale, which moves with the solid, so
+    # no decision depends on where the solid sits or on its size.  The shift
+    # is in the solid's own units: a solid 1e-6 of its distance from the
+    # origin keeps its shape only to 1e-10, and the pushed pair's flexible
+    # member is flexible only at its exact critical depth.
+    for (s, triangulation), signature in zip(_SOLIDS, _SIGNATURES):
+        moved = PolyhedralSurface(scale * (s.vertices + np.asarray(shift)),
+                                  s.faces)
+        assert _placement_signature(moved, triangulation) == signature
+    assert [sig[1] for sig in _SIGNATURES] == (
+        ["Triangulation"] * 3 + ["NonDecomposable", "Triangulation"])

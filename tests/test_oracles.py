@@ -303,7 +303,7 @@ def scalar_tet_admissible(s, tet, tol=geom.TOL_GEOM,
     return True
 
 
-def lp_extreme_mask(points, tol=geom.TOL_HULL):
+def lp_extreme_mask(points, tol=geom.TOL_GEOM):
     """One linear program per point: the point is not extreme iff it is
     (within tol * scale, in the max norm) a convex combination of the
     others.  HiGHS's own feasibility tolerance (about 1e-7) blurs the
