@@ -42,6 +42,9 @@ from .stiffness import DEFAULT_SCHEME, FDScheme, SchemeKind
 from .triangulation import Triangulation
 
 SCHEMA = "rigidity-lab/1"
+# Most samples one sweep takes; a range and step asking for more are a
+# BadRange before any sample is built.
+MAX_SWEEP_SAMPLES = 100_000
 
 
 def _json(obj) -> str:
@@ -393,8 +396,11 @@ def _sweep_samples(lo: float, hi: float, step: float) -> list[float]:
         raise BadRange(f"step must be positive and finite; got {step}")
     if hi < lo:
         return []
-    n = int(math.floor((hi - lo) / step + 1e-9))
-    return [lo + i * step for i in range(n + 1)]
+    n = (hi - lo) / step + 1e-9
+    if not n < MAX_SWEEP_SAMPLES:  # also an infinite count
+        raise BadRange(f"{lo}..{hi} at step {step} takes more than "
+                       f"{MAX_SWEEP_SAMPLES} samples")
+    return [lo + i * step for i in range(int(math.floor(n)) + 1)]
 
 
 def sweep_row(name: str, param: str, value: float, args) -> dict:
@@ -555,7 +561,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="M_T from exact derivatives, or a finite-difference "
                         "oracle")
     p.add_argument("--eps", type=float, default=None,
-                   help="finite-difference step (default 1e-6)")
+                   help="finite-difference step, relative to the input's "
+                        "size (default 1e-6)")
     p.add_argument("--tol-eig", type=float, default=None,
                    help="relative zero-eigenvalue tolerance (default: 1e-9 "
                         "for exact, 1e-4 for the finite differences)")

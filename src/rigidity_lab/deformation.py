@@ -5,7 +5,7 @@ twist-mode report for the twisted-antiprism flexibility analysis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -101,33 +101,8 @@ def deformation_space(s: PolyhedralSurface):
 
     d = DeformationBasis(nullity=nullity, basis=basis, trivial_dim=trivial_dim,
                          spectral_gap=gap, singular_values=sv)
-    evidence = {
-        "path": "deformation-nullspace",
-        "nullity": nullity,
-        "trivial_dim": trivial_dim,
-        "nontrivial_dim": d.nontrivial_dim,
-        "spectral_gap": gap,
-        "tol_sv": TOL_SV,
-    }
     kind = VerdictKind.FLEXIBLE if d.nontrivial_dim > 0 else VerdictKind.RIGID
-    return d, Verdict(kind, evidence)
-
-
-def _killing_fit(points: np.ndarray, q: np.ndarray):
-    """Least-squares Killing field q_i ~ a + w x p_i on the given points;
-    returns (a, w)."""
-    n = len(points)
-    m = np.zeros((3 * n, 6))
-    for i, p in enumerate(points):
-        m[3 * i:3 * i + 3, 0:3] = np.eye(3)
-        # w x p written as a matrix acting on w
-        m[3 * i:3 * i + 3, 3:6] = np.array([
-            [0.0, p[2], -p[1]],
-            [-p[2], 0.0, p[0]],
-            [p[1], -p[0], 0.0],
-        ])
-    sol, *_ = np.linalg.lstsq(m, q.ravel(), rcond=None)
-    return sol[:3], sol[3:]
+    return d, Verdict(kind)
 
 
 @dataclass
@@ -136,7 +111,6 @@ class TwistModeReport:
     bottom_residual: float        # max |q| over the fixed bottom vertices, relative
     plane_residual: float         # |<q(A), AE>|, |<q(A), AF>| max, relative
     rotation_residual: float      # symmetry of q(B), q(C) vs rotated q(A), relative
-    evidence: dict = field(default_factory=dict)
 
 
 def _rot_z(angle: float) -> np.ndarray:
@@ -146,9 +120,10 @@ def _rot_z(angle: float) -> np.ndarray:
 
 def twist_mode(s: PolyhedralSurface, d: DeformationBasis) -> TwistModeReport:
     """Gauge-fix the nontrivial mode into the bottom-fixed convention
-    q(D) = q(E) = q(F) = 0 (vertices 3, 4, 5) by subtracting the Killing
-    field fitted on those three vertices, then report the residuals against
-    the cylinder-tangency picture for the top vertices A, B, C (0, 1, 2)."""
+    q(D) = q(E) = q(F) = 0 (vertices 3, 4, 5) by subtracting the
+    least-squares combination of the ``trivial_motions`` fields that fits
+    the mode on those three vertices, then report the residuals against the
+    cylinder-tangency picture for the top vertices A, B, C (0, 1, 2)."""
     if d.nontrivial_dim < 1:
         raise NoNontrivialMode("deformation basis has no nontrivial mode")
     p = s.vertices
@@ -156,10 +131,11 @@ def twist_mode(s: PolyhedralSurface, d: DeformationBasis) -> TwistModeReport:
     tq = _trivial_frame(s)
     resid = d.basis - (d.basis @ tq) @ tq.T
     u, sv, vt = np.linalg.svd(resid)
-    mode = vt[0].reshape(-1, 3)
-
-    a, w = _killing_fit(p[[3, 4, 5]], mode[[3, 4, 5]])
-    mode = mode - a - np.cross(np.tile(w, (len(p), 1)), p)
+    mode = vt[0]
+    fields = trivial_motions(s)
+    # Columns 9..17 are the coordinates of vertices 3, 4, 5.
+    fit, *_ = np.linalg.lstsq(fields[:, 9:18].T, mode[9:18], rcond=None)
+    mode = (mode - fit @ fields).reshape(-1, 3)
 
     norm = float(np.max(np.linalg.norm(mode, axis=1)))
     if norm <= 0:
@@ -183,5 +159,4 @@ def twist_mode(s: PolyhedralSurface, d: DeformationBasis) -> TwistModeReport:
         bottom_residual=bottom_res,
         plane_residual=plane_res,
         rotation_residual=rot_res,
-        evidence={"nontrivial_dim": d.nontrivial_dim},
     )

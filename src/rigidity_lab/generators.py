@@ -16,8 +16,8 @@ import numpy as np
 
 from .errors import (BadParams, DegenerateDepth, ImaginaryHeight,
                      RigidityLabError, SelfIntersecting)
-from .geom import PolyhedralSurface
-from .triangulation import Triangulation
+from .geom import MAX_COORD, TOL_GEOM, PolyhedralSurface, coord_scale
+from .triangulation import Triangulation, fan_triangulation
 
 _TOP_ANGLES = (0.0, 2.0 * math.pi / 3.0, 4.0 * math.pi / 3.0)
 _BOT_BASE = (3.0 * math.pi / 2.0, math.pi / 6.0, 5.0 * math.pi / 6.0)
@@ -49,10 +49,15 @@ def _triangle(angles, r, z):
     return [(r * math.cos(a), r * math.sin(a), z) for a in angles]
 
 
-def schonhardt_vertices(params: SchonhardtParams) -> np.ndarray:
-    top = _triangle(_TOP_ANGLES, params.r, params.h / 2.0)
+def schonhardt_vertices(params: SchonhardtParams,
+                        top_z: float | None = None) -> np.ndarray:
+    """The six vertices A, B, C (top triangle, in the plane z = top_z) and
+    D, E, F (bottom triangle, at top_z - h).  The default top_z = h/2
+    centres the antiprism on the origin (h/2 - h is exactly -h/2)."""
+    top_z = params.h / 2.0 if top_z is None else top_z
+    top = _triangle(_TOP_ANGLES, params.r, top_z)
     bot_angles = [a + (params.theta - math.pi / 6.0) for a in _BOT_BASE]
-    bot = _triangle(bot_angles, params.r, -params.h / 2.0)
+    bot = _triangle(bot_angles, params.r, top_z - params.h)
     return np.array(top + bot, dtype=float)
 
 
@@ -147,10 +152,7 @@ def cube_flat_triangulation(s: PolyhedralSurface | None = None) -> Triangulation
     """Cone from the face-center vertex (index 8); every other cube vertex
     spans a non-degenerate tetra with it.  Interior edges: the four spokes
     from the center vertex to the bottom corners."""
-    if s is None:
-        s = cube_with_flat_vertex()
-    tets = [(8, f[0], f[1], f[2]) for f in s.faces if 8 not in f]
-    return Triangulation(s, tets)
+    return fan_triangulation(s or cube_with_flat_vertex(), 8)
 
 
 def octahedron_with_centroid_triangulation() -> Triangulation:
@@ -260,40 +262,39 @@ def t_polyhedron(params: TPolyParams):
     top triangle is replaced by a ring of six cover triangles descending to
     the top triangle of the inner antiprism, whose side and bottom faces
     bound a twisted cavity.  With vertical_shift = 0 the cavity mouth is
-    coplanar with the outer top face.
+    coplanar with the outer top face.  Both antiprisms come from
+    ``schonhardt_vertices``, the inner one with its top plane sunk by the
+    shift, and both keep ``_SCHONHARDT_FACES`` less the top triangle.  A
+    cavity whose bottom is not above the outer bottom by more than
+    TOL_GEOM * ``coord_scale`` raises SelfIntersecting.
 
     Returns (surface, labels) where labels maps each vertex index to
     "hull" (the inner antiprism) or "exterior" (the outer one); the cover
     ring adds no vertex of its own.
     """
-    outer = schonhardt_vertices(params.exterior)
-    h_i = params.hull.h
     top_z = params.exterior.h / 2.0 - params.vertical_shift
-    inner_top = _triangle(_TOP_ANGLES, params.hull.r, top_z)
-    bot_angles = [a + (params.hull.theta - math.pi / 6.0) for a in _BOT_BASE]
-    inner_bot = _triangle(bot_angles, params.hull.r, top_z - h_i)
-    vertices = np.vstack([outer, np.array(inner_top + inner_bot)])
-
-    if top_z - h_i <= -params.exterior.h / 2.0 + 1e-12:
+    vertices = np.vstack([schonhardt_vertices(params.exterior),
+                          schonhardt_vertices(params.hull, top_z)])
+    # Inner bottom (vertex 9) against the outer bottom (vertex 3).  Beyond
+    # MAX_COORD the scale can overflow; validation rejects those coordinates.
+    largest = float(np.max(np.abs(vertices)))
+    tol = TOL_GEOM * coord_scale(vertices) if largest <= MAX_COORD else 0.0
+    if vertices[9, 2] <= vertices[3, 2] + tol:
         raise SelfIntersecting("inner antiprism pokes through the outer bottom",
                                witness=("inner-bottom", "outer-bottom"))
 
     o = list(range(6))       # outer A..F
     i = list(range(6, 12))   # inner A'..F'
-    faces = []
     # Outer side and bottom faces (top triangle replaced by the cover ring).
-    faces += [(o[0], o[4], o[5]), (o[3], o[1], o[5]), (o[3], o[4], o[2]),
-              (o[0], o[1], o[5]), (o[0], o[4], o[2]), (o[3], o[1], o[2]),
-              (o[3], o[4], o[5])]
+    walls = [f for f in _SCHONHARDT_FACES if f != (0, 1, 2)]
+    faces = list(walls)
     # Cover ring between the outer and inner top triangles.
     for k in range(3):
         a, b = o[k], o[(k + 1) % 3]
         ai, bi = i[k], i[(k + 1) % 3]
         faces += [(a, ai, bi), (a, bi, b)]
     # Inner side and bottom faces (cavity walls).
-    faces += [(i[0], i[4], i[5]), (i[3], i[1], i[5]), (i[3], i[4], i[2]),
-              (i[0], i[1], i[5]), (i[0], i[4], i[2]), (i[3], i[1], i[2]),
-              (i[3], i[4], i[5])]
+    faces += [tuple(i[v] for v in f) for f in walls]
 
     surface = PolyhedralSurface(vertices, faces)
     rep = surface.validate()

@@ -69,6 +69,16 @@ class ValidityReport:
         return "\n".join(str(v) for v in self.violations)
 
 
+def _edge_runs(faces) -> dict[tuple[int, int], list[tuple[int, bool]]]:
+    """Each canonical edge, in first-seen order, with the faces on it and
+    whether each face runs it from its lower endpoint."""
+    runs: dict[tuple[int, int], list[tuple[int, bool]]] = {}
+    for fi, (a, b, c) in enumerate(faces):
+        for i, j in ((a, b), (b, c), (c, a)):
+            runs.setdefault(canonical_edge(i, j), []).append((fi, i < j))
+    return runs
+
+
 def _orient_consistently(faces: list[tuple[int, int, int]]):
     """Flip faces so that neighbours agree on their winding; returns new faces.
 
@@ -78,11 +88,7 @@ def _orient_consistently(faces: list[tuple[int, int, int]]):
     exists (the mesh is then not an orientable manifold along that edge).
     """
     faces = [tuple(f) for f in faces]
-    # Edge -> (face, whether the face runs it from its lower endpoint).
-    runs: dict[tuple[int, int], list[tuple[int, bool]]] = {}
-    for fi, (a, b, c) in enumerate(faces):
-        for i, j in ((a, b), (b, c), (c, a)):
-            runs.setdefault(canonical_edge(i, j), []).append((fi, i < j))
+    runs = _edge_runs(faces)
 
     flip: list[bool | None] = [None] * len(faces)
     for seed in range(len(faces)):
@@ -215,26 +221,15 @@ def surface_validate(s: PolyhedralSurface) -> ValidityReport:
 
     # Edge-manifold check with orientation: each undirected edge must be
     # traversed exactly once in each direction.
-    directed: dict[tuple[int, int], int] = {}
-    for f in s.faces:
-        for k in range(3):
-            d = (f[k], f[(k + 1) % 3])
-            directed[d] = directed.get(d, 0) + 1
-    seen = set()
-    for (a, b), cnt in directed.items():
-        e = canonical_edge(a, b)
-        if e in seen:
-            continue
-        seen.add(e)
-        fwd = cnt
-        rev = directed.get((b, a), 0)
-        if fwd + rev != 2:
+    runs = _edge_runs(s.faces)
+    for e, on in runs.items():
+        if len(on) != 2:
             rep.add("edge-incidence",
-                    f"edge {e} lies on {fwd + rev} faces, expected 2", e)
-        elif fwd != 1 or rev != 1:
+                    f"edge {e} lies on {len(on)} faces, expected 2", e)
+        elif on[0][1] == on[1][1]:
             rep.add("orientation", f"edge {e} traversed twice the same way", e)
 
-    n_edges = len(seen)
+    n_edges = len(runs)
     used = {i for f in s.faces for i in f}
     if used != set(range(n)):
         rep.add("unused-vertex", f"vertices {sorted(set(range(n)) - used)} unused")

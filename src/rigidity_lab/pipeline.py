@@ -9,11 +9,13 @@ from __future__ import annotations
 import math
 
 from .deformation import deformation_space
+from .errors import BadParams
 from .geom import PolyhedralSurface, is_weakly_convex
 from .stiffness import (
     DEFAULT_SCHEME,
     ExactScheme,
     FDScheme,
+    VerdictKind,
     assemble_mt,
     rigidity_verdict,
     spectrum,
@@ -31,7 +33,9 @@ def decompose(s: PolyhedralSurface, t: Triangulation | None = None,
               budget: int = 200000):
     """Return ``(outcome, result)``: the supplied triangulation ``t``, or the
     outcome of the decomposition search on ``s`` when ``t`` is None, and its
-    decomposition dict."""
+    decomposition dict.  A negative ``budget`` raises BadParams."""
+    if budget < 0:
+        raise BadParams(f"budget must be >= 0; got {budget}")
     outcome = find_decomposition(s, budget=budget) if t is None else t
     if isinstance(outcome, NonDecomposable):
         result = {"kind": "non-decomposable",
@@ -96,23 +100,24 @@ def analyze_surface(s: PolyhedralSurface,
     report["deformation"] = {
         "nullity": basis.nullity,
         "trivial_dim": basis.trivial_dim,
-        "nontrivial_dim": basis.nullity - basis.trivial_dim,
+        "nontrivial_dim": basis.nontrivial_dim,
         "spectral_gap": (None if math.isinf(basis.spectral_gap)
                          else float(basis.spectral_gap)),
         "verdict": dverdict.kind.value,
     }
 
-    # A Flexible spectral verdict is numerical evidence; without
+    # An Indeterminate stiffness oracle abstains, so there is nothing to
+    # compare.  A Flexible spectral verdict is numerical evidence; without
     # corroboration from the deformation oracle it is downgraded.
-    if stiff_verdict is not None:
+    if stiff_verdict in (None, VerdictKind.INDETERMINATE.value):
+        report["verdict"] = dverdict.kind.value
+    else:
         agree = stiff_verdict == dverdict.kind.value
         report["oracles_agree"] = bool(agree)
         if stiff_verdict == "Flexible" and not agree:
             report["stiffness"]["verdict"] = "Flexible (numerical)"
         report["verdict"] = (dverdict.kind.value if agree
                              else f"{dverdict.kind.value} (oracles disagree)")
-    else:
-        report["verdict"] = dverdict.kind.value
     return report
 
 

@@ -18,7 +18,8 @@ import numpy as np
 
 from . import hilbert_einstein as he
 from .cayley_menger import dihedral_kernel
-from .errors import NotConvex, OutOfDomain
+from .errors import BadParams, NotConvex, OutOfDomain
+from .geom import coord_scale
 from .triangulation import Triangulation, VertexCensus
 
 TOL_EIG = 1e-4  # relative zero-classification tolerance for FD-derived matrices
@@ -50,9 +51,9 @@ class ExactScheme:
 class FDScheme:
     kind: SchemeKind = SchemeKind.CENTRAL
     epsilon: float = 1e-6
-    # Round each dihedral angle to this many significant figures before
-    # summation; replicates hand computations transcribed at display
-    # precision. None means full precision.
+    # Round each dihedral angle to this many significant figures (1..17, the
+    # digits a double holds) before summation; replicates hand computations
+    # transcribed at display precision. None means full precision.
     round_sig: int | None = None
     tol_eig = TOL_EIG
 
@@ -62,8 +63,8 @@ class FDScheme:
                              "finite difference")
         if not (0.0 < self.epsilon <= 1e-2):
             raise ValueError(f"epsilon must lie in (0, 1e-2]; got {self.epsilon}")
-        if self.round_sig is not None and self.round_sig < 1:
-            raise ValueError(f"round_sig must be at least 1; got {self.round_sig}")
+        if self.round_sig is not None and not 1 <= self.round_sig <= 17:
+            raise ValueError(f"round_sig must lie in 1..17; got {self.round_sig}")
 
 
 # Replicates the classical hand computation: forward differencing with the
@@ -124,7 +125,7 @@ def assemble_mt(t: Triangulation,
     if scheme.kind is SchemeKind.EXACT:
         m = _exact_mt(jac, index, n)
     else:
-        m = _fd_mt(lengths, index, base, scheme)
+        m = _fd_mt(t, lengths, index, scheme)
     norm = float(np.max(np.abs(m))) if n else 0.0
     rho = float(np.max(np.abs(m - m.T))) / norm if norm else 0.0
     return StiffnessMatrix(matrix=m, scheme=scheme, symmetry_residual=rho)
@@ -140,32 +141,34 @@ def _exact_mt(jac: np.ndarray, index: np.ndarray, n: int) -> np.ndarray:
     return m[:n, :n]
 
 
-def _fd_mt(lengths: np.ndarray, index: np.ndarray,
-           base: he.EdgeLengthAssignment, scheme: FDScheme) -> np.ndarray:
+def _fd_mt(t: Triangulation, lengths: np.ndarray, index: np.ndarray,
+           scheme: FDScheme) -> np.ndarray:
     """Columns are finite-difference derivatives of the total-angle vector
     with respect to one interior edge length.
 
-    In forward mode the base angles are exactly 2*pi (the Euclidean
-    shortcut); central mode differences two perturbed evaluations.  Column
-    j takes the ``tet_edge_table`` with every slot of edge j moved by the
-    step and sums the kernel's angles over it as ``total_angles`` does, so
-    each perturbed total angle is bitwise what ``total_angles`` returns.
+    The step is ``scheme.epsilon`` times ``coord_scale`` of the points, so
+    it follows the input's size.  In forward mode the base angles are
+    exactly 2*pi (the Euclidean shortcut); central mode differences two
+    perturbed evaluations.  Column j takes the ``tet_edge_table`` with every
+    slot of edge j moved by the step and sums the kernel's angles over it as
+    ``total_angles`` does, so each perturbed total angle is bitwise what
+    ``total_angles`` returns.
     """
-    n = len(base.interior)
-    size = n + len(base.boundary)
+    n = len(t.interior_edges)
+    size = n + len(t.boundary_edges)
 
-    def omega(j: int, value: float) -> np.ndarray:
-        moved = np.where(index == j, value, lengths)
+    def omega(j: int, step: float) -> np.ndarray:
+        moved = np.where(index == j, lengths + step, lengths)
         return he.angle_sums(moved, index, size, scheme.round_sig)[:n]
 
     m = np.zeros((n, n))
-    eps = scheme.epsilon
+    eps = scheme.epsilon * coord_scale(t.points)
     for j in range(n):
-        omega_plus = omega(j, base.interior[j] + eps)
+        omega_plus = omega(j, eps)
         if scheme.kind is SchemeKind.FORWARD:
             m[:, j] = (omega_plus - he.TWO_PI) / eps
         else:
-            omega_minus = omega(j, base.interior[j] - eps)
+            omega_minus = omega(j, -eps)
             m[:, j] = (omega_plus - omega_minus) / (2.0 * eps)
     return m
 
@@ -173,9 +176,12 @@ def _fd_mt(lengths: np.ndarray, index: np.ndarray,
 def spectrum(m: StiffnessMatrix, tol_eig: float | None = None) -> Spectrum:
     """Eigenvalues of the symmetrized matrix, classified against
     |lambda| <= tol_eig * max|M|, so the counts do not change when the
-    surface is scaled; tol_eig defaults to the scheme's own cutoff."""
+    surface is scaled; tol_eig, finite and >= 0, defaults to the scheme's
+    own cutoff."""
     if tol_eig is None:
         tol_eig = m.scheme.tol_eig
+    if not (np.isfinite(tol_eig) and tol_eig >= 0):
+        raise BadParams(f"tol_eig must be finite and >= 0; got {tol_eig}")
     sym = m.symmetrized
     eig = np.linalg.eigvalsh(sym)
     norm = float(np.max(np.abs(sym))) if m.n else 0.0

@@ -197,6 +197,13 @@ def test_sweep_bad_range(capsys):
                      "--step", "-0.1")
     assert rc != 0
     assert "BadRange" in err
+    # Too many samples, or infinitely many, are refused before any is built.
+    for span, step in (("0..1e308", "1e-308"), ("0..1", "1e-300"),
+                       ("0..1", "1e-5")):
+        rc, out, err = run(capsys, "sweep", "schonhardt", "theta", span,
+                           "--step", step)
+        assert (rc, out) == (2, "")
+        assert err.startswith("BadRange: ") and "samples" in err
 
 
 def test_sweep_rows_ordered(capsys):
@@ -447,12 +454,65 @@ def test_finite_difference_schemes_keep_their_step_and_cutoff(capsys):
     ("--scheme", "exact", "--eps", "1e-6"),
     ("--scheme", "central", "--eps", "1"),
     ("--scheme", "central", "--round-sig", "0"),
+    ("--scheme", "forward", "--round-sig", "100000"),
+    ("--tol-eig", "nan"),
+    ("--tol-eig", "-1"),
+    ("--scheme", "central", "--tol-eig", "inf"),
 ], ids=["eps-exact", "round-sig-exact", "explicit-exact", "eps-range",
-        "round-sig-range"])
+        "round-sig-range", "round-sig-too-large", "tol-eig-nan",
+        "tol-eig-negative", "tol-eig-infinite"])
 def test_bad_scheme_flags_are_bad_params(capsys, flags):
     rc, out, err = run(capsys, "analyze", "octahedron", *flags)
     assert (rc, out) == (2, "")
     assert err.startswith("BadParams: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ("decompose", "schonhardt"),
+    ("analyze", "octahedron"),
+    ("sweep", "schonhardt", "theta", "0..0.2", "--step", "0.1"),
+], ids=["decompose", "analyze", "sweep"])
+def test_negative_budget_is_bad_params(capsys, argv):
+    rc, out, err = run(capsys, *argv, "--budget", "-1")
+    assert (rc, out, err) == (2, "", "BadParams: budget must be >= 0; got -1\n")
+
+
+def test_abstaining_stiffness_oracle_is_no_disagreement(capsys):
+    # m = 1 interior vertex: the kernel test does not apply, so the
+    # deformation oracle's verdict stands alone.
+    rc, out, _ = run(capsys, "analyze", "octahedron-with-centroid")
+    assert rc == 0
+    assert "  stiffness verdict: Indeterminate\n" in out
+    assert "oracles agree" not in out
+    assert out.endswith("  deformation verdict: Rigid\nverdict: Rigid\n")
+    _, out, _ = run(capsys, "analyze", "octahedron-with-centroid", "--json")
+    report = json.loads(out)
+    assert "oracles_agree" not in report
+    assert report["verdict"] == "Rigid"
+
+
+def _scaled_octahedron(scale: float) -> dict:
+    t = gen.octahedron_axis_triangulation()
+    doc = json.loads(PolyhedronDocument.from_surface(t.surface, t).to_json())
+    doc["vertices"] = [[scale * x for x in v] for v in doc["vertices"]]
+    return doc
+
+
+def test_finite_difference_step_follows_the_input_size(tmp_path, capsys):
+    # M_T scales as 1 / size: the exact entry is 4e-10 at size 1e10, which
+    # an absolute step of 1e-6 cannot resolve.
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(_scaled_octahedron(1e10)))
+    rc, out, _ = run(capsys, "analyze", str(path), "--scheme", "central")
+    assert rc == 0
+    assert "M_T spectrum (central eps=1e-06): [4e-10]\n" in out
+    assert "oracles agree: yes\n" in out
+    assert out.endswith("verdict: Rigid\n")
+    rc, out, _ = run(capsys, "analyze", str(path), "--scheme", "central",
+                     "--json")
+    st = json.loads(out)["stiffness"]
+    assert st["scheme"]["epsilon"] == 1e-6
+    assert st["eigenvalues"][0] == pytest.approx(4e-10, rel=1e-6)
 
 
 # -- generator flags ------------------------------------------------------

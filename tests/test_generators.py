@@ -137,6 +137,24 @@ def test_t_polyhedron_rejects_poking_cavity():
         gen.t_polyhedron(params)
 
 
+def test_t_polyhedron_poke_through_check_follows_the_size():
+    # The shift-0.7 solid scaled by 1e-13: its cavity clears the outer
+    # bottom by 1.3e-13, which an absolute 1e-12 would call a poke-through.
+    scale = 1e-13
+    params = gen.TPolyParams(gen.SchonhardtParams(PI / 6, scale, 2 * scale),
+                             gen.SchonhardtParams(PI / 6, 2.5 * scale,
+                                                  4 * scale),
+                             vertical_shift=0.7 * scale)
+    surface, _ = gen.t_polyhedron(params)
+    unscaled, _ = gen.t_polyhedron(gen.TPolyParams(
+        gen.SchonhardtParams(PI / 6, 1.0, 2.0),
+        gen.SchonhardtParams(PI / 6, 2.5, 4.0), vertical_shift=0.7))
+    assert surface_validate(surface).ok
+    assert surface.faces == unscaled.faces
+    assert np.allclose(surface.vertices, scale * unscaled.vertices,
+                       rtol=1e-12, atol=0)
+
+
 def test_t_polyhedron_out_of_range_is_an_invalid_surface():
     # Coordinates past MAX_COORD are a coordinate-range violation, not a
     # self-intersection.

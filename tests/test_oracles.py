@@ -138,7 +138,7 @@ def global_fd_mt(t, scheme, total_angles=he.total_angles) -> np.ndarray:
     base = he.euclidean_lengths(t)
     n = len(base.interior)
     m = np.zeros((n, n))
-    eps = scheme.epsilon
+    eps = scheme.epsilon * geom.coord_scale(t.points)
     for j in range(n):
         step = np.zeros(n)
         step[j] = eps
