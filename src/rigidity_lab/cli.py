@@ -4,7 +4,7 @@ text, JSON or an OBJ mesh.
 
 Subcommands
 -----------
-generate   emit a PolyhedronDocument for a named generator
+generate   emit a polyhedron document for a named generator
 analyze    validate -> decompose -> stiffness spectrum -> deformation space
 sweep      sample a generator over a parameter range
 export     write a standard OBJ triangle mesh
@@ -24,8 +24,6 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import generators as gen
 from . import pipeline
@@ -54,7 +52,7 @@ def _json(obj) -> str:
 
 
 # ---------------------------------------------------------------------------
-# PolyhedronDocument
+# Polyhedron documents
 # ---------------------------------------------------------------------------
 
 def _is_number(x) -> bool:
@@ -83,109 +81,84 @@ def _is_index_rows(rows, width: int) -> bool:
         for r in rows)
 
 
-@dataclass
-class PolyhedronDocument:
-    """Versioned serialization of a surface, optionally with a triangulation
-    (whose point set may extend the surface vertices) and vertex labels."""
-
-    vertices: list
-    faces: list
-    triangulation: list | None = None
-    points: list | None = None
-    labels: dict | None = None
-
-    def to_json(self) -> str:
-        doc = {"schema": SCHEMA,
-               "vertices": self.vertices,
-               "faces": self.faces}
-        if self.triangulation is not None:
-            doc["triangulation"] = self.triangulation
-        if self.points is not None:
-            doc["points"] = self.points
-        if self.labels is not None:
-            doc["labels"] = {str(k): v for k, v in sorted(self.labels.items())}
-        return _json(doc)
-
-    @classmethod
-    def from_json(cls, text: str) -> "PolyhedronDocument":
+def read_document(text: str):
+    """The ``(surface, triangulation, labels)`` of a polyhedron document;
+    the triangulation, whose point set may extend the surface vertices, is
+    built on that surface.  The last two are None when the document has
+    none.  A malformed document raises ParseError."""
+    try:
+        doc = json.loads(text)
+    # ValueError covers JSONDecodeError and an over-long integer literal;
+    # RecursionError, a too deeply nested one.
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ParseError("document root must be an object")
+    if doc.get("schema") != SCHEMA:
+        raise ParseError(f"unknown schema {doc.get('schema')!r}; "
+                         f"expected {SCHEMA!r}")
+    for key in ("vertices", "faces"):
+        if key not in doc:
+            raise ParseError(f"missing required key {key!r}")
+    vertices = doc["vertices"]
+    faces = doc["faces"]
+    _check_coordinates(vertices, "vertices")
+    if not _is_index_rows(faces, 3):
+        raise ParseError("faces must be an array of [i, j, k]")
+    points = doc.get("points")
+    if points is not None:
+        _check_coordinates(points, "points")
+    n_pts = len(points) if points is not None else len(vertices)
+    for f in faces:
+        if any(not 0 <= i < len(vertices) for i in f):
+            raise ParseError(f"face index out of range: {f}")
+    tets = doc.get("triangulation")
+    if tets is not None:
+        if not _is_index_rows(tets, 4):
+            raise ParseError("triangulation must be an array of "
+                             "[i, j, k, l]")
+        for t in tets:
+            if any(not 0 <= i < n_pts for i in t):
+                raise ParseError(f"tetrahedron index out of range: {t}")
+    labels = doc.get("labels")
+    if labels is not None:
+        if not isinstance(labels, dict):
+            raise ParseError("labels must be an object")
         try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"not valid JSON: {exc}") from exc
-        if not isinstance(doc, dict):
-            raise ParseError("document root must be an object")
-        if doc.get("schema") != SCHEMA:
-            raise ParseError(f"unknown schema {doc.get('schema')!r}; "
-                             f"expected {SCHEMA!r}")
-        for key in ("vertices", "faces"):
-            if key not in doc:
-                raise ParseError(f"missing required key {key!r}")
-        vertices = doc["vertices"]
-        faces = doc["faces"]
-        _check_coordinates(vertices, "vertices")
-        if not _is_index_rows(faces, 3):
-            raise ParseError("faces must be an array of [i, j, k]")
-        points = doc.get("points")
-        if points is not None:
-            _check_coordinates(points, "points")
-        n_pts = len(points) if points is not None else len(vertices)
-        for f in faces:
-            if any(not 0 <= i < len(vertices) for i in f):
-                raise ParseError(f"face index out of range: {f}")
-        tets = doc.get("triangulation")
-        if tets is not None:
-            if not _is_index_rows(tets, 4):
-                raise ParseError("triangulation must be an array of "
-                                 "[i, j, k, l]")
-            for t in tets:
-                if any(not 0 <= i < n_pts for i in t):
-                    raise ParseError(f"tetrahedron index out of range: {t}")
-        labels = doc.get("labels")
-        if labels is not None:
-            if not isinstance(labels, dict):
-                raise ParseError("labels must be an object")
-            try:
-                labels = {int(k): str(v) for k, v in labels.items()}
-            except ValueError as exc:
-                raise ParseError(f"label keys must be integers: {exc}") from exc
-            if any(not 0 <= k < n_pts for k in labels):
-                raise ParseError("label index out of range")
-        return cls(vertices=vertices, faces=faces, triangulation=tets,
-                   points=points, labels=labels)
+            labels = {int(k): str(v) for k, v in labels.items()}
+        except ValueError as exc:
+            raise ParseError(f"label keys must be integers: {exc}") from exc
+        if any(not 0 <= k < n_pts for k in labels):
+            raise ParseError("label index out of range")
+    s = PolyhedralSurface(vertices, faces)
+    t = None if tets is None else Triangulation(s, tets, points=points)
+    return s, t, labels
 
-    @classmethod
-    def from_surface(cls, s: PolyhedralSurface,
-                     triangulation: Triangulation | None = None,
-                     labels: dict | None = None) -> "PolyhedronDocument":
-        tets = None
-        points = None
-        if triangulation is not None:
-            tets = [list(t) for t in triangulation.tetrahedra]
-            if len(triangulation.points) > len(s.vertices):
-                points = [list(map(float, p)) for p in triangulation.points]
-        return cls(vertices=[list(map(float, v)) for v in s.vertices],
-                   faces=[list(f) for f in s.faces],
-                   triangulation=tets, points=points, labels=labels)
 
-    def surface(self) -> PolyhedralSurface:
-        return PolyhedralSurface(np.array(self.vertices, dtype=float),
-                                 [tuple(f) for f in self.faces])
-
-    def as_triangulation(self) -> Triangulation | None:
-        if self.triangulation is None:
-            return None
-        pts = (np.array(self.points, dtype=float)
-               if self.points is not None else None)
-        return Triangulation(self.surface(),
-                             [tuple(t) for t in self.triangulation],
-                             points=pts)
+def write_document(s: PolyhedralSurface,
+                   triangulation: Triangulation | None = None,
+                   labels: dict | None = None) -> str:
+    """The polyhedron document of a surface with an optional triangulation
+    (its points are written when they extend the surface vertices) and
+    vertex labels."""
+    doc = {"schema": SCHEMA,
+           "vertices": [list(map(float, v)) for v in s.vertices],
+           "faces": [list(f) for f in s.faces]}
+    if triangulation is not None:
+        doc["triangulation"] = [list(t) for t in triangulation.tetrahedra]
+        if len(triangulation.points) > len(s.vertices):
+            doc["points"] = [list(map(float, p))
+                             for p in triangulation.points]
+    if labels is not None:
+        doc["labels"] = {str(k): v for k, v in sorted(labels.items())}
+    return _json(doc)
 
 
 # ---------------------------------------------------------------------------
 # Generator registry
 # ---------------------------------------------------------------------------
 
-def _gen_schonhardt(f: dict) -> PolyhedronDocument:
+def _gen_schonhardt(f: dict):
     theta = f["theta"]
     frac = f["theta-pi-frac"]
     if frac is not None:  # never given together with --theta
@@ -197,29 +170,29 @@ def _gen_schonhardt(f: dict) -> PolyhedronDocument:
                 f"--theta-pi-frac expects NUM/DEN with integer parts; "
                 f"got {frac!r}") from exc
     params = gen.SchonhardtParams(theta, f["r"], f["h"])
-    return PolyhedronDocument.from_surface(gen.schonhardt(params))
+    return gen.schonhardt(params), None, None
 
 
 def _gen_fixed(triangulation):
-    """The builder of a fixed solid, emitted with its triangulation."""
-    def build(f: dict) -> PolyhedronDocument:
+    """The builder of a fixed solid, handed over with its triangulation."""
+    def build(f: dict):
         t = triangulation()
-        return PolyhedronDocument.from_surface(t.surface, t)
+        return t.surface, t, None
     return build
 
 
-def _gen_pushed_pair(f: dict) -> PolyhedronDocument:
+def _gen_pushed_pair(f: dict):
     convex, pushed = gen.pushed_vertex_pair(f["depth"])
     s = convex if f["member"] == "convex" else pushed
-    return PolyhedronDocument.from_surface(s, gen.pushed_pair_triangulation(s))
+    return s, gen.pushed_pair_triangulation(s), None
 
 
-def _gen_tpoly(f: dict) -> PolyhedronDocument:
+def _gen_tpoly(f: dict):
     hull = gen.SchonhardtParams(f["hull-theta"], f["hull-r"], f["hull-h"])
     ext = gen.SchonhardtParams(f["ext-theta"], f["ext-r"], f["ext-h"])
     surface, labels = gen.t_polyhedron(
         gen.TPolyParams(hull, ext, vertical_shift=f["shift"]))
-    return PolyhedronDocument.from_surface(surface, labels=labels)
+    return surface, None, labels
 
 
 @dataclass(frozen=True)
@@ -237,8 +210,9 @@ class Flag:
 
 
 # Each generator's builder and the flags it reads, in order.  A builder is
-# called with a dict of exactly these flags, defaults filled in; the numeric
-# ones are the parameters sweep accepts for it.
+# called with a dict of exactly these flags, defaults filled in, and returns
+# the surface it built, with its triangulation and vertex labels or None;
+# the numeric flags are the parameters sweep accepts for it.
 GENERATORS = {
     "schonhardt": (_gen_schonhardt, (
         Flag("theta", math.pi / 6.0, "twist angle in radians"),
@@ -307,7 +281,10 @@ def _own_flags(name: str, args) -> dict:
     return {f.name: given.get(f.name, f.default) for f in flags}
 
 
-def _make_document(args) -> PolyhedronDocument:
+def _polyhedron(args):
+    """The ``(surface, triangulation, labels)`` that ``args.name`` names: a
+    generator's, built from its flags, or a document's, read from a file or
+    from stdin ('-')."""
     name = args.name
     # A generator id always means the generator, even if a file has its name.
     if name != "-" and (name in GENERATORS or not os.path.exists(name)):
@@ -324,7 +301,7 @@ def _make_document(args) -> PolyhedronDocument:
                 text = fh.read()
     except UnicodeDecodeError as exc:
         raise ParseError(f"not valid text: {exc}") from exc
-    return PolyhedronDocument.from_json(text)
+    return read_document(text)
 
 
 # ---------------------------------------------------------------------------
@@ -403,37 +380,35 @@ def _sweep_samples(lo: float, hi: float, step: float) -> list[float]:
     return [lo + i * step for i in range(int(math.floor(n)) + 1)]
 
 
-def sweep_row(name: str, param: str, value: float, args) -> dict:
-    """One sweep sample: the row dict of the document with ``param`` set to
-    ``value``; a generator or validation error becomes the row's error."""
-    ns = argparse.Namespace(**vars(args))
-    setattr(ns, param.replace("-", "_"), value)
-    ns.name = name
-    row: dict = {"param": param, "value": value}
+def sweep_row(build, flags: dict, budget: int) -> dict:
+    """The evidence keys of the polyhedron ``build(flags)`` makes; a
+    generator or validation error becomes the row's ``error`` instead."""
     try:
-        doc = _make_document(ns)
-        s = doc.surface()
+        s, t, _ = build(flags)
         s.require_valid()
     except RigidityLabError as exc:
-        row["error"] = f"{type(exc).__name__}: {exc}"
-        return row
-    row.update(pipeline.sweep_evidence(s, doc.as_triangulation(), args.budget))
-    return row
+        return {"error": f"{type(exc).__name__}: {exc}"}
+    return pipeline.sweep_evidence(s, t, budget)
 
 
 def cmd_sweep(args) -> str:
     param = args.param.replace("_", "-")
-    own = [f.name for f in _generator(args.name)[1] if f.numeric]
+    build, declared = _generator(args.name)
+    own = [f.name for f in declared if f.numeric]
     if param not in own:
         raise BadParams(f"cannot sweep {args.param!r} of {args.name}; "
                         f"sweepable parameters: {', '.join(own) or 'none'}")
-    if param == "theta" and args.theta_pi_frac is not None:
-        raise BadParams("cannot sweep theta with --theta-pi-frac, which "
-                        "fixes it")
+    given = _given_flags(args)
+    fixing = ("theta-pi-frac", "theta") if param == "theta" else (param,)
+    for flag in fixing:
+        if flag in given:
+            raise BadParams(f"cannot sweep {param} with --{flag}, which "
+                            f"fixes it")
     # A stray flag is one usage error, not an error row per value.
-    _own_flags(args.name, args)
+    flags = _own_flags(args.name, args)
     lo, hi = _parse_range(args.range)
-    rows = [sweep_row(args.name, args.param, v, args)
+    rows = [{"param": args.param, "value": v,
+             **sweep_row(build, {**flags, param: v}, args.budget)}
             for v in _sweep_samples(lo, hi, args.step)]
     out = {"schema": "rigidity-lab/sweep/1",
            "generator": args.name, "param": args.param,
@@ -445,7 +420,9 @@ def cmd_sweep(args) -> str:
              "weakly_convex decomposable flexible"]
     for r in rows:
         if "error" in r:
-            lines.append(f"{r['value']:.12g} ERROR {r['error']}")
+            # A validity report holds one violation a line; a row takes one.
+            error = r["error"].replace("\n", "; ")
+            lines.append(f"{r['value']:.12g} ERROR {error}")
         else:
             lines.append(
                 f"{r['value']:.12g} {r['smallest_nontrivial_sv']:.6e} "
@@ -459,11 +436,11 @@ def cmd_sweep(args) -> str:
 # export
 # ---------------------------------------------------------------------------
 
-def to_obj(doc: PolyhedronDocument) -> str:
+def to_obj(s: PolyhedralSurface) -> str:
     lines = ["# rigidity-lab OBJ export"]
-    for v in doc.vertices:
+    for v in s.vertices:
         lines.append("v {:.17g} {:.17g} {:.17g}".format(*map(float, v)))
-    for f in doc.faces:
+    for f in s.faces:
         lines.append("f {} {} {}".format(f[0] + 1, f[1] + 1, f[2] + 1))
     return "\n".join(lines) + "\n"
 
@@ -474,7 +451,7 @@ def to_obj(doc: PolyhedronDocument) -> str:
 
 def cmd_generate(args) -> str:
     build, _ = _generator(args.name)
-    return build(_own_flags(args.name, args)).to_json()
+    return write_document(*build(_own_flags(args.name, args)))
 
 
 def _scheme(args):
@@ -497,10 +474,7 @@ def _scheme(args):
 
 def cmd_analyze(args) -> str:
     scheme = _scheme(args)
-    doc = _make_document(args)
-    t = doc.as_triangulation()
-    # Share one surface, so its validity and extremality are computed once.
-    s = doc.surface() if t is None else t.surface
+    s, t, _ = _polyhedron(args)
     s.require_valid()
     report = analyze_surface(s, t=t, scheme=scheme, tol_eig=args.tol_eig,
                              budget=args.budget)
@@ -510,12 +484,12 @@ def cmd_analyze(args) -> str:
 def cmd_export(args) -> str:
     if args.format != "obj":
         raise ParseError(f"unknown export format {args.format!r}")
-    return to_obj(_make_document(args))
+    return to_obj(_polyhedron(args)[0])
 
 
 def cmd_decompose(args) -> str:
-    doc = _make_document(args)
-    _, result = pipeline.decompose(doc.surface(), budget=args.budget)
+    s, _, _ = _polyhedron(args)
+    _, result = pipeline.decompose(s, budget=args.budget)
     if args.json:
         return _json({"schema": "rigidity-lab/decompose/1", "result": result})
     if result["kind"] == "triangulation":

@@ -79,9 +79,17 @@ class BudgetExceeded:
     nodes_explored: int
 
 
-def tet_volume(pts) -> float:
+def tet_volumes(pts) -> np.ndarray:
+    """Signed volumes of a stack (..., 4, 3) of tetrahedra's corners."""
     p = np.asarray(pts, dtype=float)
-    return float(np.linalg.det(np.array([p[1] - p[0], p[2] - p[0], p[3] - p[0]]))) / 6.0
+    # A subnormal coordinate can flush an LU pivot to zero: det then flags a
+    # division by zero and returns 0.0, right to the coordinates' precision.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return np.linalg.det(p[..., 1:, :] - p[..., :1, :]) / 6.0
+
+
+def tet_volume(pts) -> float:
+    return float(tet_volumes(pts))
 
 
 def _canon_oriented(tri):
@@ -204,7 +212,7 @@ def tet_admissible(s: PolyhedralSurface, tets):
     v = s.vertices
     pts = v[idx]
     scale = geom.coord_scale(v)
-    vol = np.linalg.det(pts[:, 1:] - pts[:, :1]) / 6.0
+    vol = tet_volumes(pts)
     ok = np.abs(vol) > geom.TOL_GEOM * scale**3
 
     live = np.flatnonzero(ok)
@@ -260,7 +268,7 @@ def tri_validate(t: Triangulation) -> ValidityReport:
     if not rep.ok:
         return rep
     tet_pts = pts[np.array(t.tetrahedra, dtype=int).reshape(-1, 4)]
-    vols = np.linalg.det(tet_pts[:, 1:] - tet_pts[:, :1]) / 6.0
+    vols = tet_volumes(tet_pts)
     for ti in np.flatnonzero(np.abs(vols) <= geom.TOL_GEOM * scale**3):
         rep.add("degenerate-tet", f"tetra {t.tetrahedra[ti]} has ~zero volume",
                 (int(ti),))
@@ -329,7 +337,7 @@ def find_decomposition(s: PolyhedralSurface, budget: int = 200_000,
     n_candidates = len(candidates)
 
     cand_pts = pts[np.array(candidates, dtype=int).reshape(-1, 4)]
-    signed = np.linalg.det(cand_pts[:, 1:] - cand_pts[:, :1]) / 6.0
+    signed = tet_volumes(cand_pts)
     volumes = np.abs(signed)
     cand_faces = [outward_faces(tet, vol > 0)
                   for tet, vol in zip(candidates, signed)]

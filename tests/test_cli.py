@@ -5,9 +5,9 @@ import os
 
 import pytest
 
-from rigidity_lab import cli
+from rigidity_lab import cli, geom
 from rigidity_lab import generators as gen
-from rigidity_lab.cli import PolyhedronDocument, main
+from rigidity_lab.cli import main, read_document, write_document
 from rigidity_lab.errors import ParseError
 
 
@@ -20,10 +20,11 @@ def run(capsys, *argv):
 def test_generate_octahedron_document(capsys):
     rc, out, err = run(capsys, "generate", "octahedron")
     assert rc == 0 and err == ""
-    doc = PolyhedronDocument.from_json(out)
-    assert len(doc.vertices) == 6
-    assert len(doc.faces) == 8
-    assert len(doc.triangulation) == 4
+    s, t, labels = read_document(out)
+    assert len(s.vertices) == 6
+    assert len(s.faces) == 8
+    assert len(t.tetrahedra) == 4
+    assert t.surface is s and labels is None
 
 
 def test_generate_is_deterministic(capsys):
@@ -32,13 +33,12 @@ def test_generate_is_deterministic(capsys):
     assert out1 == out2
 
 
-def test_document_roundtrip_is_lossless(capsys):
-    _, out, _ = run(capsys, "generate", "schonhardt",
-                    "--theta-pi-frac", "1/6")
-    doc = PolyhedronDocument.from_json(out)
-    again = PolyhedronDocument.from_json(doc.to_json())
-    assert again.vertices == doc.vertices  # exact float equality
-    assert again.faces == doc.faces
+@pytest.mark.parametrize("name", sorted(cli.GENERATORS))
+def test_document_roundtrip_is_lossless(capsys, name):
+    # Covers labels (t-poly), added points (octahedron-with-centroid) and
+    # supplied triangulations, and every coordinate to the last bit.
+    _, out, _ = run(capsys, "generate", name)
+    assert write_document(*read_document(out)) == out
 
 
 def test_theta_pi_frac_matches_radians(capsys):
@@ -132,7 +132,7 @@ def test_export_roundtrip_precision(capsys):
     rc, gen_out, _ = run(capsys, "generate", "schonhardt",
                          "--theta", "0.37")
     # %.17g round-trips every double exactly.
-    assert exported == PolyhedronDocument.from_json(gen_out).vertices
+    assert exported == read_document(gen_out)[0].vertices.tolist()
 
 
 def test_export_unknown_format(capsys):
@@ -179,6 +179,22 @@ def test_sweep_reports_an_invalid_sample_as_an_error_row(capsys):
     assert [r.split()[:3] for r in rows] == [["1", "ERROR", "InvalidSurface:"],
                                              ["2", "ERROR", "InvalidSurface:"]]
     assert all("[degenerate-volume]" in r for r in rows)
+
+
+def test_sweep_error_row_is_one_line_of_the_table(capsys):
+    # The pushed apex crosses three faces: the text row joins the three
+    # violations, and the JSON row keeps the error string as raised.
+    argv = ("sweep", "pushed-pair", "depth", "1.8..1.8", "--step", "1")
+    rc, out, err = run(capsys, *argv)
+    assert (rc, err) == (0, "")
+    [row] = out.splitlines()[2:]
+    assert row.startswith("1.8 ERROR DegenerateDepth: ")
+    assert row.count("[self-intersection]") == 3
+    assert row.count("; [self-intersection]") == 2
+    _, out, _ = run(capsys, *argv, "--json")
+    [json_row] = json.loads(out)["rows"]
+    assert json_row["error"].count("\n[self-intersection]") == 2
+    assert row == f"1.8 ERROR {json_row['error']}".replace("\n", "; ")
 
 
 def test_sweep_empty_range(capsys):
@@ -241,11 +257,20 @@ def test_sweep_param_the_generator_ignores_is_bad_params(capsys, name, param,
                    f"sweepable parameters: {own}\n")
 
 
-def test_sweep_theta_with_theta_pi_frac_is_bad_params(capsys):
-    rc, out, err = run(capsys, "sweep", "schonhardt", "theta", "0..1",
-                       "--step", "0.5", "--theta-pi-frac", "1/6")
+@pytest.mark.parametrize("name, param, flag, value", [
+    ("schonhardt", "theta", "theta-pi-frac", "1/6"),
+    ("schonhardt", "theta", "theta", "0.5"),
+    ("t-poly", "shift", "shift", "0.5"),
+    ("pushed-pair", "depth", "depth", "0.5"),
+], ids=["theta-pi-frac", "theta", "shift", "depth"])
+def test_sweep_param_fixed_by_a_flag_is_bad_params(capsys, name, param, flag,
+                                                   value):
+    # The sweep would otherwise drop the flag without a word.
+    rc, out, err = run(capsys, "sweep", name, param, "0.1..0.3", "--step",
+                       "0.1", f"--{flag}", value)
     assert (rc, out) == (2, "")
-    assert err.startswith("BadParams: ")
+    assert err == (f"BadParams: cannot sweep {param} with --{flag}, which "
+                   f"fixes it\n")
 
 
 def test_sweep_param_accepts_underscores(capsys):
@@ -258,7 +283,7 @@ def test_sweep_param_accepts_underscores(capsys):
 
 def test_document_rejects_bad_indices():
     with pytest.raises(ParseError):
-        PolyhedronDocument.from_json(json.dumps({
+        read_document(json.dumps({
             "schema": "rigidity-lab/1",
             "vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0]],
             "faces": [[0, 1, 7]],
@@ -267,7 +292,7 @@ def test_document_rejects_bad_indices():
 
 def test_document_rejects_unknown_schema():
     with pytest.raises(ParseError):
-        PolyhedronDocument.from_json(json.dumps({
+        read_document(json.dumps({
             "schema": "rigidity-lab/999",
             "vertices": [],
             "faces": [],
@@ -306,6 +331,23 @@ def test_well_formed_document_still_analyzes(tmp_path, capsys):
     rc, out, _ = run(capsys, "analyze", str(path))
     assert rc == 0
     assert "validity: ok" in out
+
+
+def test_export_writes_the_faces_oriented_outward(tmp_path, capsys):
+    # Every command reads a document's faces oriented outward, and export
+    # writes them as read: an inward-wound document exports like _TETRA.
+    path = tmp_path / "doc.json"
+    inward = {**_TETRA, "faces": [[a, c, b] for a, b, c in _TETRA["faces"]]}
+    exported = []
+    for doc in (_TETRA, inward):
+        path.write_text(json.dumps(doc))
+        rc, out, _ = run(capsys, "export", str(path))
+        assert rc == 0
+        exported.append(out)
+    assert exported[0] == exported[1]
+    faces = [[int(x) - 1 for x in ln.split()[1:]]
+             for ln in exported[0].splitlines() if ln.startswith("f ")]
+    assert faces == _TETRA["faces"]
 
 
 def test_undecodable_document_is_parse_error(tmp_path, capsys, monkeypatch):
@@ -394,6 +436,29 @@ def test_decompose_result_is_analyze_decomposition(capsys, argv):
     _, decomposed, _ = run(capsys, "decompose", *argv, "--json")
     assert (json.loads(decomposed)["result"]
             == json.loads(analyzed)["decomposition"])
+
+
+# -- one surface per input --------------------------------------------------
+
+@pytest.mark.parametrize("argv, validations", [
+    (("sweep", "t-poly", "shift", "0..1", "--step", "0.1"), 11),
+    (("analyze", "pushed-pair"), 1),
+    (("analyze", "t-poly", "--shift", "0.7"), 1),
+    (("decompose", "t-poly", "--shift", "0.7"), 1),
+], ids=["sweep-t-poly", "analyze-pushed-pair", "analyze-t-poly",
+        "decompose-t-poly"])
+def test_each_generated_input_is_validated_once(capsys, monkeypatch, argv,
+                                                validations):
+    # The command analyzes the surface the generator built and validated,
+    # not a copy rebuilt from its document.
+    calls = []
+    real = geom.surface_validate
+    monkeypatch.setattr(geom, "surface_validate",
+                        lambda s: calls.append(s) or real(s))
+    rc, _, err = run(capsys, *argv)
+    assert (rc, err) == (0, "")
+    assert len(calls) == validations
+    assert len({id(s) for s in calls}) == validations
 
 
 # -- parser ---------------------------------------------------------------
@@ -493,7 +558,7 @@ def test_abstaining_stiffness_oracle_is_no_disagreement(capsys):
 
 def _scaled_octahedron(scale: float) -> dict:
     t = gen.octahedron_axis_triangulation()
-    doc = json.loads(PolyhedronDocument.from_surface(t.surface, t).to_json())
+    doc = json.loads(write_document(t.surface, t))
     doc["vertices"] = [[scale * x for x in v] for v in doc["vertices"]]
     return doc
 
