@@ -36,7 +36,7 @@ from .errors import (
 )
 from .geom import PolyhedralSurface
 from .pipeline import analyze_surface
-from .stiffness import DEFAULT_SCHEME, FDScheme, SchemeKind
+from .stiffness import SCHEMES
 from .triangulation import Triangulation
 
 SCHEMA = "rigidity-lab/1"
@@ -108,6 +108,9 @@ def read_document(text: str):
     points = doc.get("points")
     if points is not None:
         _check_coordinates(points, "points")
+        if doc.get("triangulation") is None:
+            raise ParseError("points extend a triangulation's point set; "
+                             "the document has no triangulation")
     n_pts = len(points) if points is not None else len(vertices)
     for f in faces:
         if any(not 0 <= i < len(vertices) for i in f):
@@ -159,17 +162,7 @@ def write_document(s: PolyhedralSurface,
 # ---------------------------------------------------------------------------
 
 def _gen_schonhardt(f: dict):
-    theta = f["theta"]
-    frac = f["theta-pi-frac"]
-    if frac is not None:  # never given together with --theta
-        try:
-            num, den = frac.split("/")
-            theta = math.pi * int(num) / int(den)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise BadParams(
-                f"--theta-pi-frac expects NUM/DEN with integer parts; "
-                f"got {frac!r}") from exc
-    params = gen.SchonhardtParams(theta, f["r"], f["h"])
+    params = gen.SchonhardtParams(f["theta"], f["r"], f["h"])
     return gen.schonhardt(params), None, None
 
 
@@ -216,9 +209,7 @@ class Flag:
 GENERATORS = {
     "schonhardt": (_gen_schonhardt, (
         Flag("theta", math.pi / 6.0, "twist angle in radians"),
-        Flag("r", 1.0), Flag("h", 2.0),
-        Flag("theta-pi-frac", None, "twist angle as a rational multiple of pi",
-             {"metavar": "NUM/DEN"}))),
+        Flag("r", 1.0), Flag("h", 2.0))),
     "octahedron": (_gen_fixed(gen.octahedron_axis_triangulation), ()),
     "cube-with-flat-vertex": (_gen_fixed(gen.cube_flat_triangulation), ()),
     "octahedron-with-centroid": (
@@ -267,8 +258,7 @@ def _generator(name: str):
 
 def _own_flags(name: str, args) -> dict:
     """Generator ``name``'s flags from ``args``, defaults filled in.  A flag
-    the generator does not read, or --theta together with --theta-pi-frac,
-    raises BadParams instead of being ignored."""
+    the generator does not read raises BadParams instead of being ignored."""
     flags = _generator(name)[1]
     own = [f.name for f in flags]
     given = _given_flags(args)
@@ -276,8 +266,6 @@ def _own_flags(name: str, args) -> dict:
     if stray:
         raise BadParams(f"{name} does not read {_flag_list(stray)}; "
                         f"its flags: {_flag_list(own) or 'none'}")
-    if "theta" in given and "theta-pi-frac" in given:
-        raise BadParams("give --theta or --theta-pi-frac, not both")
     return {f.name: given.get(f.name, f.default) for f in flags}
 
 
@@ -398,12 +386,8 @@ def cmd_sweep(args) -> str:
     if param not in own:
         raise BadParams(f"cannot sweep {args.param!r} of {args.name}; "
                         f"sweepable parameters: {', '.join(own) or 'none'}")
-    given = _given_flags(args)
-    fixing = ("theta-pi-frac", "theta") if param == "theta" else (param,)
-    for flag in fixing:
-        if flag in given:
-            raise BadParams(f"cannot sweep {param} with --{flag}, which "
-                            f"fixes it")
+    if param in _given_flags(args):
+        raise BadParams(f"cannot sweep {param} with --{param}, which fixes it")
     # A stray flag is one usage error, not an error row per value.
     flags = _own_flags(args.name, args)
     lo, hi = _parse_range(args.range)
@@ -454,36 +438,15 @@ def cmd_generate(args) -> str:
     return write_document(*build(_own_flags(args.name, args)))
 
 
-def _scheme(args):
-    """The M_T scheme the analyze flags select."""
-    kind = SchemeKind(args.scheme)
-    if kind is SchemeKind.EXACT:
-        if args.eps is not None or args.round_sig is not None:
-            raise BadParams("--eps and --round-sig set a finite-difference "
-                            "scheme; the exact scheme takes neither")
-        return DEFAULT_SCHEME
-    eps = FDScheme.epsilon if args.eps is None else args.eps  # its default
-    round_sig = args.round_sig
-    if round_sig is None and kind is SchemeKind.FORWARD:
-        round_sig = 6
-    try:
-        return FDScheme(kind, eps, round_sig)
-    except ValueError as exc:
-        raise BadParams(str(exc)) from exc
-
-
 def cmd_analyze(args) -> str:
-    scheme = _scheme(args)
     s, t, _ = _polyhedron(args)
     s.require_valid()
-    report = analyze_surface(s, t=t, scheme=scheme, tol_eig=args.tol_eig,
-                             budget=args.budget)
+    report = analyze_surface(s, t=t, scheme=SCHEMES[args.scheme],
+                             tol_eig=args.tol_eig, budget=args.budget)
     return _json(report) if args.json else _render_analysis(report)
 
 
 def cmd_export(args) -> str:
-    if args.format != "obj":
-        raise ParseError(f"unknown export format {args.format!r}")
     return to_obj(_polyhedron(args)[0])
 
 
@@ -517,10 +480,13 @@ def build_parser() -> argparse.ArgumentParser:
                                 "over a file of that name (use ./NAME)"):
         p.add_argument("name", help=name_help)
         _add_generator_flags(p)
-        p.add_argument("--budget", type=int, default=200000,
-                       help="node budget for the decomposition search")
         p.add_argument("-o", "--output", default=None,
                        help="write output to a file instead of stdout")
+
+    def add_search(p):
+        """The flags of the commands that run the decomposition search."""
+        p.add_argument("--budget", type=int, default=200000,
+                       help="node budget for the decomposition search")
         p.add_argument("--json", action="store_true",
                        help="emit machine-readable JSON")
 
@@ -530,37 +496,33 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="run the full rigidity pipeline")
     add_common(p)
-    p.add_argument("--scheme", choices=("exact", "central", "forward"),
-                   default="exact",
+    add_search(p)
+    p.add_argument("--scheme", choices=tuple(SCHEMES), default="exact",
                    help="M_T from exact derivatives, or a finite-difference "
-                        "oracle")
-    p.add_argument("--eps", type=float, default=None,
-                   help="finite-difference step, relative to the input's "
-                        "size (default 1e-6)")
+                        "oracle: central (relative step 1e-6) or forward "
+                        "(the published computation: step 1e-8, angles "
+                        "rounded to six figures)")
     p.add_argument("--tol-eig", type=float, default=None,
                    help="relative zero-eigenvalue tolerance (default: 1e-9 "
                         "for exact, 1e-4 for the finite differences)")
-    p.add_argument("--round-sig", type=int, default=None,
-                   help="round total angles to this many significant digits "
-                        "before differencing (default: 6 for the forward "
-                        "replication scheme, none for central)")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("sweep", help="sample a generator over a range")
     add_common(p, name_help="generator id")
+    add_search(p)
     p.add_argument("param", help="numeric generator flag to sweep "
                                  "(e.g. theta, shift, depth)")
     p.add_argument("range", help="START..END")
     p.add_argument("--step", type=float, required=True)
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("export", help="export a triangle mesh")
+    p = sub.add_parser("export", help="write an OBJ triangle mesh")
     add_common(p)
-    p.add_argument("--format", default="obj", help="mesh format (obj)")
     p.set_defaults(func=cmd_export)
 
     p = sub.add_parser("decompose", help="search for a tetrahedralization")
     add_common(p)
+    add_search(p)
     p.set_defaults(func=cmd_decompose)
     return parser
 

@@ -5,8 +5,8 @@ triangle meshes with outward-oriented faces; every surface is oriented once,
 at construction: each face is kept or flipped so that neighbours run their
 shared edge opposite ways, then all are flipped if the signed volume comes
 out negative.  Weak convexity (every vertex extreme) and flatness (on the
-hull boundary, not extreme) are read off one Qhull convex hull of the
-vertices.
+hull boundary, not extreme) are read off Qhull convex hulls: one of all the
+vertices, and one of the others for each vertex of that hull.
 
 Every degeneracy and boundary tolerance is TOL_GEOM times ``coord_scale``
 (the largest distance of a point from the points' mean) to the quantity's
@@ -300,7 +300,8 @@ def _hull_excess(hull: ConvexHull, points) -> np.ndarray:
 
 def hull_masks(points) -> tuple[np.ndarray, np.ndarray]:
     """``(extreme, boundary)`` masks of the points, from one Qhull hull of
-    all of them; DegenerateVertexSet when they span no 3-D hull.
+    all of them and one of the others per vertex of that hull;
+    DegenerateVertexSet when they span no 3-D hull.
 
     A point is extreme when it is a vertex of that hull and lies more than
     TOL_GEOM * scale outside the hull of the other points (or those span no

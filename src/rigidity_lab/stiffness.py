@@ -72,6 +72,10 @@ class FDScheme:
 # 6-significant-figure display precision of the original worked example.
 PAPER_SCHEME = FDScheme(SchemeKind.FORWARD, 1e-8, round_sig=6)
 DEFAULT_SCHEME = ExactScheme()
+# The scheme each ``analyze --scheme`` name selects; other steps and
+# roundings are FDSchemes built directly.
+SCHEMES = {"exact": DEFAULT_SCHEME, "central": FDScheme(),
+           "forward": PAPER_SCHEME}
 
 
 @dataclass

@@ -17,6 +17,17 @@ def run(capsys, *argv):
     return rc, captured.out, captured.err
 
 
+def assert_usage_error(capsys, *argv):
+    """argv ends in argparse's usage error: exit 2, the usage on stderr."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out) == (2, "")
+    assert captured.err.startswith("usage: ")
+    assert "error: unrecognized arguments: " in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_generate_octahedron_document(capsys):
     rc, out, err = run(capsys, "generate", "octahedron")
     assert rc == 0 and err == ""
@@ -41,11 +52,10 @@ def test_document_roundtrip_is_lossless(capsys, name):
     assert write_document(*read_document(out)) == out
 
 
-def test_theta_pi_frac_matches_radians(capsys):
+def test_default_theta_is_pi_over_six(capsys):
     _, out1, _ = run(capsys, "generate", "schonhardt",
                      "--theta", repr(math.pi / 6.0))
-    _, out2, _ = run(capsys, "generate", "schonhardt",
-                     "--theta-pi-frac", "1/6")
+    _, out2, _ = run(capsys, "generate", "schonhardt")
     assert out1 == out2
 
 
@@ -62,16 +72,14 @@ def test_bad_params_fail(capsys):
 
 
 def test_analyze_octahedron_forward_scheme(capsys):
-    rc, out, _ = run(capsys, "analyze", "octahedron",
-                     "--scheme", "forward", "--eps", "1e-8")
+    rc, out, _ = run(capsys, "analyze", "octahedron", "--scheme", "forward")
     assert rc == 0
     assert "1469.28" in out
     assert "verdict: Rigid" in out
 
 
 def test_analyze_schonhardt_critical(capsys):
-    rc, out, _ = run(capsys, "analyze", "schonhardt",
-                     "--theta-pi-frac", "1/6")
+    rc, out, _ = run(capsys, "analyze", "schonhardt")
     assert rc == 0
     assert "NonDecomposable" in out
     assert "nullity=7" in out
@@ -136,14 +144,13 @@ def test_export_roundtrip_precision(capsys):
 
 
 def test_export_unknown_format(capsys):
-    rc, _, err = run(capsys, "export", "octahedron", "--format", "stl")
-    assert rc != 0
-    assert "ParseError" in err
+    # Export always writes OBJ: it takes no --format, not even obj.
+    for fmt in ("stl", "obj"):
+        assert_usage_error(capsys, "export", "octahedron", "--format", fmt)
 
 
 def test_decompose_schonhardt(capsys):
-    rc, out, _ = run(capsys, "decompose", "schonhardt",
-                     "--theta-pi-frac", "1/6", "--json")
+    rc, out, _ = run(capsys, "decompose", "schonhardt", "--json")
     assert rc == 0
     doc = json.loads(out)
     assert doc["result"]["kind"] == "non-decomposable"
@@ -257,19 +264,17 @@ def test_sweep_param_the_generator_ignores_is_bad_params(capsys, name, param,
                    f"sweepable parameters: {own}\n")
 
 
-@pytest.mark.parametrize("name, param, flag, value", [
-    ("schonhardt", "theta", "theta-pi-frac", "1/6"),
-    ("schonhardt", "theta", "theta", "0.5"),
-    ("t-poly", "shift", "shift", "0.5"),
-    ("pushed-pair", "depth", "depth", "0.5"),
-], ids=["theta-pi-frac", "theta", "shift", "depth"])
-def test_sweep_param_fixed_by_a_flag_is_bad_params(capsys, name, param, flag,
-                                                   value):
+@pytest.mark.parametrize("name, param", [
+    ("schonhardt", "theta"),
+    ("t-poly", "shift"),
+    ("pushed-pair", "depth"),
+], ids=["theta", "shift", "depth"])
+def test_sweep_param_fixed_by_a_flag_is_bad_params(capsys, name, param):
     # The sweep would otherwise drop the flag without a word.
     rc, out, err = run(capsys, "sweep", name, param, "0.1..0.3", "--step",
-                       "0.1", f"--{flag}", value)
+                       "0.1", f"--{param}", "0.5")
     assert (rc, out) == (2, "")
-    assert err == (f"BadParams: cannot sweep {param} with --{flag}, which "
+    assert err == (f"BadParams: cannot sweep {param} with --{param}, which "
                    f"fixes it\n")
 
 
@@ -314,9 +319,10 @@ _TETRA = {"schema": "rigidity-lab/1",
     {"faces": [[0, 2, 1], [0, 1, 3], [0, 3, 2], [1, 2, True]]},
     {"triangulation": [0, 1, 2, 3]},
     {"points": [[0, 0]]},
+    {"points": _TETRA["vertices"] + [[0.25, 0.25, 0.25]]},
 ], ids=["string-coordinate", "nan-coordinate", "huge-coordinate",
         "label-key", "fractional-label-key", "flat-faces", "boolean-index",
-        "flat-triangulation", "short-point"])
+        "flat-triangulation", "short-point", "points-without-triangulation"])
 def test_analyze_malformed_document_is_parse_error(tmp_path, capsys, change):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps({**_TETRA, **change}))
@@ -428,7 +434,7 @@ def test_generator_name_beats_file_of_that_name(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("argv", [
-    ("schonhardt", "--theta-pi-frac", "1/6"),
+    ("schonhardt",),
     ("t-poly", "--shift", "0.3"),
 ], ids=["schonhardt", "t-poly"])
 def test_decompose_result_is_analyze_decomposition(capsys, argv):
@@ -506,26 +512,21 @@ def test_finite_difference_schemes_keep_their_step_and_cutoff(capsys):
     assert st["scheme"] == {"kind": "central", "epsilon": 1e-6,
                             "round_sig": None}
     assert st["tol_eig"] == 1e-4
-    _, out, _ = run(capsys, "analyze", "octahedron", "--scheme", "forward")
-    assert "M_T spectrum (forward eps=1e-06): " in out
+    _, out, _ = run(capsys, "analyze", "octahedron", "--scheme", "forward",
+                    "--json")
+    # The forward scheme is the published computation.
+    assert json.loads(out)["stiffness"]["scheme"] == {
+        "kind": "forward", "epsilon": 1e-8, "round_sig": 6}
     _, out, _ = run(capsys, "analyze", "octahedron", "--tol-eig", "0.5",
                     "--json")
     assert json.loads(out)["stiffness"]["tol_eig"] == 0.5
 
 
 @pytest.mark.parametrize("flags", [
-    ("--eps", "1e-8"),
-    ("--round-sig", "6"),
-    ("--scheme", "exact", "--eps", "1e-6"),
-    ("--scheme", "central", "--eps", "1"),
-    ("--scheme", "central", "--round-sig", "0"),
-    ("--scheme", "forward", "--round-sig", "100000"),
     ("--tol-eig", "nan"),
     ("--tol-eig", "-1"),
     ("--scheme", "central", "--tol-eig", "inf"),
-], ids=["eps-exact", "round-sig-exact", "explicit-exact", "eps-range",
-        "round-sig-range", "round-sig-too-large", "tol-eig-nan",
-        "tol-eig-negative", "tol-eig-infinite"])
+], ids=["tol-eig-nan", "tol-eig-negative", "tol-eig-infinite"])
 def test_bad_scheme_flags_are_bad_params(capsys, flags):
     rc, out, err = run(capsys, "analyze", "octahedron", *flags)
     assert (rc, out) == (2, "")
@@ -580,27 +581,45 @@ def test_finite_difference_step_follows_the_input_size(tmp_path, capsys):
     assert st["eigenvalues"][0] == pytest.approx(4e-10, rel=1e-6)
 
 
+@pytest.mark.parametrize("argv", [
+    ("generate", "schonhardt", "--theta-pi-frac", "1/6"),
+    ("analyze", "schonhardt", "--theta-pi-frac", "1/6"),
+    ("sweep", "schonhardt", "r", "1..2", "--step", "1",
+     "--theta-pi-frac", "1/6"),
+    ("export", "schonhardt", "--theta-pi-frac", "1/6"),
+    ("decompose", "schonhardt", "--theta-pi-frac", "1/6"),
+    ("analyze", "octahedron", "--eps", "1e-8"),
+    ("analyze", "octahedron", "--scheme", "central", "--round-sig", "6"),
+    ("generate", "octahedron", "--budget", "10"),
+    ("generate", "octahedron", "--json"),
+    ("export", "octahedron", "--budget", "10"),
+    ("export", "octahedron", "--json"),
+], ids=["generate-theta-pi-frac", "analyze-theta-pi-frac",
+        "sweep-theta-pi-frac", "export-theta-pi-frac",
+        "decompose-theta-pi-frac", "analyze-eps", "analyze-round-sig",
+        "generate-budget", "generate-json", "export-budget", "export-json"])
+def test_retired_option_is_a_usage_error(capsys, argv):
+    # Each setting has one spelling: --theta in radians, and --scheme names
+    # a whole scheme.  generate and export run no search and write one
+    # format.  export --format is test_export_unknown_format's.
+    assert_usage_error(capsys, *argv)
+
+
 # -- generator flags ------------------------------------------------------
 
 @pytest.mark.parametrize("argv, message", [
     (("generate", "octahedron", "--depth", "3"),
      "octahedron does not read --depth; its flags: none"),
     (("analyze", "schonhardt", "--shift", "1"),
-     "schonhardt does not read --shift; its flags: --theta, --r, --h, "
-     "--theta-pi-frac"),
+     "schonhardt does not read --shift; its flags: --theta, --r, --h"),
     (("decompose", "schonhardt", "--member", "convex"),
-     "schonhardt does not read --member; its flags: --theta, --r, --h, "
-     "--theta-pi-frac"),
+     "schonhardt does not read --member; its flags: --theta, --r, --h"),
     (("export", "pushed-pair", "--theta", "0.3", "--r", "2"),
      "pushed-pair does not read --theta, --r; its flags: --depth, --member"),
-    (("generate", "schonhardt", "--theta", "0.3", "--theta-pi-frac", "1/6"),
-     "give --theta or --theta-pi-frac, not both"),
     (("sweep", "schonhardt", "theta", "0..1", "--step", "0.5", "--depth",
       "1"),
-     "schonhardt does not read --depth; its flags: --theta, --r, --h, "
-     "--theta-pi-frac"),
-], ids=["generate", "analyze", "decompose", "export", "theta-twice",
-        "sweep"])
+     "schonhardt does not read --depth; its flags: --theta, --r, --h"),
+], ids=["generate", "analyze", "decompose", "export", "sweep"])
 def test_generator_flag_the_generator_ignores_is_bad_params(capsys, argv,
                                                             message):
     rc, out, err = run(capsys, *argv)

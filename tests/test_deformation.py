@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import example, given, settings, strategies as st
 from scipy.spatial.transform import Rotation
+from sympy.polys.matrices import DomainMatrix
 
 from rigidity_lab import generators as gen
 from rigidity_lab.deformation import (
@@ -58,6 +60,48 @@ def test_schonhardt_off_critical_is_rigid():
         basis, verdict = deformation_space(s)
         assert basis.nullity == 6
         assert verdict.kind.value == "Rigid"
+
+
+def _exact_antiprism(r, h, top_z):
+    """``schonhardt_vertices`` at theta = pi/6 in exact arithmetic: every
+    coordinate lies in Q(sqrt 3)."""
+    top = [0, 2 * sympy.pi / 3, 4 * sympy.pi / 3]
+    bottom = [3 * sympy.pi / 2, sympy.pi / 6, 5 * sympy.pi / 6]
+    return ([(r * sympy.cos(a), r * sympy.sin(a), top_z) for a in top]
+            + [(r * sympy.cos(a), r * sympy.sin(a), top_z - h)
+               for a in bottom])
+
+
+def _exact_nullity(s, points) -> int:
+    """Nullity of the rigidity matrix of ``s`` built over Q(sqrt 3) from
+    ``points``, the exact values of its vertices."""
+    assert np.max(np.abs(np.array(points, dtype=float) - s.vertices)) < 1e-14
+    n = len(points)
+    rows = []
+    for i, j in s.edges:
+        row = [0] * (3 * n)
+        for k in range(3):
+            row[3 * i + k] = points[i][k] - points[j][k]
+            row[3 * j + k] = points[j][k] - points[i][k]
+        rows.append(row)
+    field = sympy.QQ.algebraic_field(sympy.sqrt(3))
+    return 3 * n - DomainMatrix.from_Matrix(sympy.Matrix(rows)).convert_to(
+        field).rank()
+
+
+@pytest.mark.parametrize("s, points, nullity", [
+    (gen.schonhardt(gen.SchonhardtParams(PI / 6, 1.0, 2.0)),
+     _exact_antiprism(1, 2, 1), 7),
+    (gen.t_polyhedron(gen.TPolyParams(gen.SchonhardtParams(PI / 6, 1.0, 2.0),
+                                      gen.SchonhardtParams(PI / 6, 2.5, 4.0)))[0],
+     _exact_antiprism(sympy.Rational(5, 2), 4, 2) + _exact_antiprism(1, 2, 2),
+     11),
+], ids=["schonhardt", "t-poly"])
+def test_nullity_is_the_exact_rank_deficiency(s, points, nullity):
+    # The SVD threshold finds the nullity that exact arithmetic proves.
+    assert _exact_nullity(s, points) == nullity
+    basis, _ = deformation_space(s)
+    assert (basis.nullity, basis.nontrivial_dim) == (nullity, nullity - 6)
 
 
 def test_deformation_basis_annihilates_edge_lengths():

@@ -1,8 +1,10 @@
-"""Fuzzed input path: documents on stdin and generator flag values.
+"""Fuzzed input path: documents on stdin, generator flag values, sweep
+ranges and analyze's options.
 
 Whatever the input, the command line exits 0 or 2, and on exit 2 its stderr
-starts with the name of a RigidityLabError subclass and holds no traceback.  Warnings are errors under this suite, so a numerical warning
-on the way also fails a run.
+starts with the name of a RigidityLabError subclass, or is argparse's usage
+error, and holds no traceback.  Warnings are errors under this suite, so a
+numerical warning on the way also fails a run.
 """
 
 import contextlib
@@ -15,6 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from rigidity_lab import cli, errors
 from rigidity_lab.cli import main
+from rigidity_lab.stiffness import SCHEMES
 
 ERROR_NAMES = {name for name, obj in vars(errors).items()
                if isinstance(obj, type)
@@ -25,7 +28,10 @@ def _run(argv, stdin=""):
     out, err = io.StringIO(), io.StringIO()
     with mock.patch("sys.stdin", io.StringIO(stdin)), \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        rc = main(list(argv))
+        try:
+            rc = main(list(argv))
+        except SystemExit as exc:  # argparse's usage error
+            rc = exc.code
     return rc, out.getvalue(), err.getvalue()
 
 
@@ -35,7 +41,8 @@ def _check(argv, stdin=""):
     assert "Traceback" not in err
     if rc == 2:
         assert out == ""
-        assert err.split(":", 1)[0] in ERROR_NAMES, err
+        assert (err.split(":", 1)[0] in ERROR_NAMES
+                or err.startswith("usage: ")), err
     else:
         assert out and err == ""
 
@@ -151,8 +158,9 @@ _TEXT = st.one_of(
 @example(text="[" * 100_000)  # deeper than the JSON decoder recurses
 @example(text="1" * 5000)  # more digits than int() converts
 def test_any_document_exits_0_or_2_without_traceback(text):
-    for command in ("analyze", "decompose", "export"):
+    for command in ("analyze", "decompose"):
         _check([command, "-", "--budget", "2000"], stdin=text)
+    _check(["export", "-"], stdin=text)
 
 
 # -- generator flags ------------------------------------------------------
@@ -177,3 +185,61 @@ def test_any_float_flag_exits_0_or_2_without_traceback(name, data):
     argv = [f"--{flag}={data.draw(_FLOAT_TEXT)}" for flag in flags]
     for command in ("generate", "export"):
         _check([command, name, *argv])
+
+
+# -- sweep and analyze options --------------------------------------------
+
+_BUDGET = st.one_of(st.integers(-2, 3000).map(str), st.integers().map(str),
+                    st.sampled_from(["1.5", "x", "", "1e3", "-0"]))
+# Mostly values a generator accepts, so that samples get built.
+_SAMPLE_TEXT = st.one_of(st.floats(0, 1.5).map(repr), _FLOAT_TEXT)
+
+
+@st.composite
+def _sweep_range(draw):
+    """``(range, step)``: a range of at most two samples from a fuzzed start
+    and step, or a fuzzed range text with a step that leaves it at most
+    three samples."""
+    if draw(st.booleans()):
+        step = draw(_SAMPLE_TEXT)
+        lo = float(draw(_SAMPLE_TEXT))
+        hi = lo + draw(st.integers(0, 1)) * float(step)
+        return f"{lo!r}..{hi!r}", step
+    text = st.one_of(st.text(max_size=8), st.sampled_from(
+        ["..", "1..", "..1", "0..1..2", "nan..1", "0..inf", "1e309..0",
+         "-1e308..1e308", "0.1..0.3"]))
+    return draw(text), draw(st.sampled_from(["1e308", "inf", "nan", "0",
+                                             "-1"]))
+
+
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_any_sweep_exits_0_or_2_without_traceback(data):
+    name = data.draw(st.sampled_from(sorted(cli.GENERATORS)))
+    own = [f.name for f in cli.GENERATORS[name][1] if f.numeric] or _NUMERIC
+    param = data.draw(st.one_of(
+        st.sampled_from(own), st.sampled_from(own).map(
+            lambda f: f.replace("-", "_")),
+        st.sampled_from(_NUMERIC), st.text(max_size=4)))
+    span, step = data.draw(_sweep_range())
+    # --opt=VALUE, and the range after "--": either may start with "-".
+    argv = ["sweep", name, f"--step={step}",
+            f"--budget={data.draw(_BUDGET)}"]
+    if data.draw(st.booleans()):
+        argv.append("--json")
+    _check([*argv, "--", param, span])
+
+
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_any_analyze_option_exits_0_or_2_without_traceback(data):
+    name = data.draw(st.sampled_from(sorted(cli.GENERATORS)))
+    # Two draws in three name a scheme.
+    names = st.sampled_from(sorted(SCHEMES))
+    scheme = data.draw(st.one_of(names, names, st.text(max_size=6)))
+    argv = ["analyze", name, f"--scheme={scheme}",
+            f"--tol-eig={data.draw(_FLOAT_TEXT)}",
+            f"--budget={data.draw(_BUDGET)}"]
+    if data.draw(st.booleans()):
+        argv.append("--json")
+    _check(argv)

@@ -129,10 +129,20 @@ def test_spectrum_cutoff_defaults_to_the_scheme():
 def test_exact_is_the_default_scheme():
     assert DEFAULT_SCHEME.kind is SchemeKind.EXACT
     assert (DEFAULT_SCHEME.epsilon, DEFAULT_SCHEME.round_sig) == (None, None)
+
+
+@pytest.mark.parametrize("kind, epsilon, round_sig", [
+    (SchemeKind.EXACT, 1e-6, None),
+    (SchemeKind.CENTRAL, 1.0, None),
+    (SchemeKind.CENTRAL, 1e-6, 0),
+    (SchemeKind.FORWARD, 1e-8, 100000),
+], ids=["explicit-exact", "eps-range", "round-sig-range",
+        "round-sig-too-large"])
+def test_fd_scheme_out_of_range_is_value_error(kind, epsilon, round_sig):
+    # The exact scheme takes no step; a step lies in (0, 1e-2] and a
+    # rounding in 1..17 figures, the digits a double holds.
     with pytest.raises(ValueError):
-        FDScheme(SchemeKind.EXACT)
-    with pytest.raises(ValueError):
-        FDScheme(SchemeKind.CENTRAL, 1e-6, round_sig=0)
+        FDScheme(kind, epsilon, round_sig)
 
 
 # -- invariance under similarity and relabelling --------------------------
