@@ -391,9 +391,12 @@ def cmd_sweep(args) -> str:
     # A stray flag is one usage error, not an error row per value.
     flags = _own_flags(args.name, args)
     lo, hi = _parse_range(args.range)
+    samples = _sweep_samples(lo, hi, args.step)
+    # Checked before any row, so an empty range or error rows cannot hide it.
+    pipeline.check_budget(args.budget)
     rows = [{"param": args.param, "value": v,
              **sweep_row(build, {**flags, param: v}, args.budget)}
-            for v in _sweep_samples(lo, hi, args.step)]
+            for v in samples]
     out = {"schema": "rigidity-lab/sweep/1",
            "generator": args.name, "param": args.param,
            "range": [lo, hi], "step": args.step, "rows": rows}

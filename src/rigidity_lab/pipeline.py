@@ -29,13 +29,18 @@ from .triangulation import (
 )
 
 
+def check_budget(budget: int):
+    """A negative search node ``budget`` raises BadParams."""
+    if budget < 0:
+        raise BadParams(f"budget must be >= 0; got {budget}")
+
+
 def decompose(s: PolyhedralSurface, t: Triangulation | None = None,
               budget: int = 200000):
     """Return ``(outcome, result)``: the supplied triangulation ``t``, or the
     outcome of the decomposition search on ``s`` when ``t`` is None, and its
     decomposition dict.  A negative ``budget`` raises BadParams."""
-    if budget < 0:
-        raise BadParams(f"budget must be >= 0; got {budget}")
+    check_budget(budget)
     outcome = find_decomposition(s, budget=budget) if t is None else t
     if isinstance(outcome, NonDecomposable):
         result = {"kind": "non-decomposable",

@@ -8,7 +8,10 @@ ordered lexicographically; that ordering indexes the stiffness matrix.
 ``find_decomposition`` is an exhaustive backtracking search over admissible
 candidate tetrahedra (desk scale, <= 16 vertices) that either produces a
 validated triangulation, certifies non-decomposability, or gives up on a
-node budget.
+node budget.  Its candidate filter ``tet_admissible`` probes each distinct
+edge and face of the candidates once: 4-subsets share them, so a
+12-vertex surface's 495 subsets have 1,705 distinct probe points, not
+495 x 47.
 """
 
 from __future__ import annotations
@@ -173,8 +176,6 @@ def classify_points(s: PolyhedralSurface, p):
 
 # Vertex triples of the four faces; face k omits vertex k.
 _TET_FACES = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
-_EDGE_TAIL = [i for i, _ in _TET_EDGES]
-_EDGE_HEAD = [j for _, j in _TET_EDGES]
 
 
 # -- decomposition search --------------------------------------------------
@@ -182,20 +183,44 @@ _EDGE_HEAD = [j for _, j in _TET_EDGES]
 _SAMPLE_T = np.array([0.1, 0.25, 0.5, 0.75, 0.9])
 
 
-def _tet_probe_points(pts):
-    """(C, 4, 3) tetrahedra -> (C, 47, 3) probe points: the centroid, then
-    five samples along each edge (edges in _TET_EDGES order), then each
-    face's centroid followed by the midpoints from it to the face's three
-    vertices (faces in _TET_FACES order)."""
+def _distinct(rows, n):
+    """The distinct rows of an integer stack (..., k) of indices below n, as
+    (D, k) in key order, and the position of each row among them.  A row is
+    keyed as it stands, not sorted, so (i, j) and (j, i) stay apart."""
+    flat = rows.reshape(-1, rows.shape[-1])
+    keys = flat @ n ** np.arange(flat.shape[1])
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return flat[first], inverse.reshape(rows.shape[:-1])
+
+
+def _tet_probe_points(v, tets):
+    """Probe points of the tetrahedra ``tets`` (C, 4) on the points ``v``.
+
+    Returns ``(points, probes)``: ``points[probes]`` is (C, 47, 3), each
+    candidate's centroid, then five samples along each edge (edges in
+    _TET_EDGES order), then each face's centroid followed by the midpoints
+    from it to the face's three vertices (faces in _TET_FACES order).  Each
+    distinct edge and face, as an ordered index tuple, is sampled once in
+    ``points``, from the same operands and in the same order as when each
+    candidate is sampled on its own.
+    """
+    c = len(tets)
+    edges, edge_of = _distinct(tets[:, _TET_EDGES], len(v))   # (E, 2), (C, 6)
+    faces, face_of = _distinct(tets[:, _TET_FACES], len(v))   # (F, 3), (C, 4)
     t = _SAMPLE_T[:, None]
-    edge = ((1 - t) * pts[:, _EDGE_TAIL, None, :]
-            + t * pts[:, _EDGE_HEAD, None, :])     # (C, 6, 5, 3)
-    tri = pts[:, _TET_FACES]                       # (C, 4, 3, 3)
-    cen = tri.mean(axis=2, keepdims=True)
-    face = np.concatenate([cen, 0.5 * (cen + tri)], axis=2)  # (C, 4, 4, 3)
-    return np.concatenate([pts.mean(axis=1, keepdims=True),
-                           edge.reshape(-1, 30, 3), face.reshape(-1, 16, 3)],
-                          axis=1)
+    edge = (1 - t) * v[edges[:, 0], None, :] + t * v[edges[:, 1], None, :]
+    tri = v[faces]                                            # (F, 3, 3)
+    cen = tri.mean(axis=1, keepdims=True)
+    face = np.concatenate([cen, 0.5 * (cen + tri)], axis=1)   # (F, 4, 3)
+    points = np.concatenate([v[tets].mean(axis=1), edge.reshape(-1, 3),
+                             face.reshape(-1, 3)])
+    first_face = c + 5 * len(edges)
+    probes = np.concatenate(
+        [np.arange(c)[:, None],
+         (c + 5 * edge_of[..., None] + np.arange(5)).reshape(c, 30),
+         (first_face + 4 * face_of[..., None] + np.arange(4)).reshape(c, 16)],
+        axis=1)
+    return points, probes
 
 
 def tet_admissible(s: PolyhedralSurface, tets):
@@ -206,29 +231,31 @@ def tet_admissible(s: PolyhedralSurface, tets):
     TOL_GEOM * scale**3, its centroid is strictly inside, none of its 46
     edge and face probe points is outside (``classify_points``), and no
     tetrahedron edge that is not a surface edge properly crosses a surface
-    face.  Every stage runs on the whole stack at once.
+    face.  Candidates that share an edge or a face share its probe points:
+    one ``classify_points`` call classifies each distinct point once, and
+    each distinct edge is tested for crossings once.
     """
     idx = np.asarray(tets, dtype=int).reshape(-1, 4)
     v = s.vertices
-    pts = v[idx]
     scale = geom.coord_scale(v)
-    vol = tet_volumes(pts)
+    vol = tet_volumes(v[idx])
     ok = np.abs(vol) > geom.TOL_GEOM * scale**3
 
     live = np.flatnonzero(ok)
-    probes = _tet_probe_points(pts[live])
-    cls = classify_points(s, probes.reshape(-1, 3)).reshape(probes.shape[:2])
+    points, probes = _tet_probe_points(v, idx[live])
+    cls = classify_points(s, points)[probes]
     ok[live] = (cls[:, 0] == 1) & ~np.any(cls == -1, axis=1)
 
     live = np.flatnonzero(ok)
     surface_edge = np.zeros((len(v), len(v)), dtype=bool)
     for i, j in s.edges:
         surface_edge[i, j] = surface_edge[j, i] = True
-    tail, head = idx[live][:, _EDGE_TAIL], idx[live][:, _EDGE_HEAD]
-    owner, edge = np.nonzero(~surface_edge[tail, head])
-    crossing = geom.segments_cross_faces(v[tail[owner, edge]], v[head[owner, edge]],
-                                         v[np.asarray(s.faces)]).any(axis=1)
-    ok[live[owner[crossing]]] = False
+    edges, edge_of = _distinct(idx[live][:, _TET_EDGES], len(v))
+    tested = np.flatnonzero(~surface_edge[edges[:, 0], edges[:, 1]])
+    crossing = np.zeros(len(edges), dtype=bool)
+    crossing[tested] = geom.segments_cross_faces(
+        v[edges[tested, 0]], v[edges[tested, 1]], v[np.asarray(s.faces)]).any(axis=1)
+    ok[live] = ~crossing[edge_of].any(axis=1)
     return ok
 
 

@@ -543,6 +543,16 @@ def test_negative_budget_is_bad_params(capsys, argv):
     assert (rc, out, err) == (2, "", "BadParams: budget must be >= 0; got -1\n")
 
 
+@pytest.mark.parametrize("sweep_range,step", [("1..0.5", "0.1"), ("2..2.5", "0.5")],
+                         ids=["empty-range", "error-rows-only"])
+def test_sweep_negative_budget_is_bad_params_without_a_search(capsys, sweep_range, step):
+    # Neither sweep reaches the decomposition search: 1..0.5 has no sample,
+    # and theta 2 and 2.5 fail validation and become error rows.
+    rc, out, err = run(capsys, "sweep", "schonhardt", "theta", sweep_range,
+                       "--step", step, "--budget", "-1")
+    assert (rc, out, err) == (2, "", "BadParams: budget must be >= 0; got -1\n")
+
+
 def test_abstaining_stiffness_oracle_is_no_disagreement(capsys):
     # m = 1 interior vertex: the kernel test does not apply, so the
     # deformation oracle's verdict stands alone.

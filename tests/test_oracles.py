@@ -6,14 +6,14 @@ face-count validation that the boundary-chain certificate replaced, the
 per-tetrahedron sum of scalar dihedral angles that total angles came from
 before the stacked kernel, a finite-difference M_T that recomputes every
 total angle for every perturbation, high-precision differences of the
-dihedral-angle formula, the per-candidate, per-point decomposition filter,
-the per-vertex linear program that decided hull extremality before Qhull
-did, and the region growing that oriented faces by comparing directed-edge
-sets.  The fast
-paths must give the same verdicts and bitwise the same matrices; the exact
-M_T, which replaces a difference quotient by a derivative, must agree to a
-tolerance, and so must the kernel's total angles, whose arccos can round
-differently in the last bit.
+dihedral-angle formula, the per-candidate, per-point decomposition filter
+and the stacked filter that probed every candidate on its own, the
+per-vertex linear program that decided hull extremality before Qhull did,
+and the region growing that oriented faces by comparing directed-edge
+sets.  The fast paths must give the same verdicts and bitwise the same
+matrices; the exact M_T, which replaces a difference quotient by a
+derivative, must agree to a tolerance, and so must the kernel's total
+angles, whose arccos can round differently in the last bit.
 """
 
 import math
@@ -56,6 +56,7 @@ from rigidity_lab.triangulation import (
     find_decomposition,
     tet_admissible,
     tet_volume,
+    tet_volumes,
     tri_validate,
 )
 
@@ -301,6 +302,49 @@ def scalar_tet_admissible(s, tet, tol=geom.TOL_GEOM,
             if _segment_crosses_triangle(pts[i], pts[j], v[a], v[b], v[c], 1e-9):
                 return False
     return True
+
+
+_TET_FACES = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
+
+
+def per_candidate_probe_points(pts):
+    """(C, 4, 3) tetrahedra -> (C, 47, 3) probe points, computed for each
+    candidate on its own: the centroid, the five samples along each edge,
+    then each face's centroid and midpoints."""
+    t = np.array([0.1, 0.25, 0.5, 0.75, 0.9])[:, None]
+    tail, head = [i for i, _ in _TET_EDGES], [j for _, j in _TET_EDGES]
+    edge = (1 - t) * pts[:, tail, None, :] + t * pts[:, head, None, :]
+    tri = pts[:, _TET_FACES]
+    cen = tri.mean(axis=2, keepdims=True)
+    face = np.concatenate([cen, 0.5 * (cen + tri)], axis=2)
+    return np.concatenate([pts.mean(axis=1, keepdims=True),
+                           edge.reshape(-1, 30, 3), face.reshape(-1, 16, 3)],
+                          axis=1)
+
+
+def per_candidate_tet_admissible(s, tets):
+    """The stacked filter that classifies all 47 probe points of every
+    candidate and tests every non-surface edge of every candidate, shared
+    or not."""
+    idx = np.asarray(tets, dtype=int).reshape(-1, 4)
+    v = s.vertices
+    pts = v[idx]
+    ok = np.abs(tet_volumes(pts)) > geom.TOL_GEOM * geom.coord_scale(v)**3
+    live = np.flatnonzero(ok)
+    probes = per_candidate_probe_points(pts[live])
+    cls = classify_points(s, probes.reshape(-1, 3)).reshape(probes.shape[:2])
+    ok[live] = (cls[:, 0] == 1) & ~np.any(cls == -1, axis=1)
+    live = np.flatnonzero(ok)
+    surface_edge = np.zeros((len(v), len(v)), dtype=bool)
+    for i, j in s.edges:
+        surface_edge[i, j] = surface_edge[j, i] = True
+    tail = idx[live][:, [i for i, _ in _TET_EDGES]]
+    head = idx[live][:, [j for _, j in _TET_EDGES]]
+    owner, edge = np.nonzero(~surface_edge[tail, head])
+    crossing = geom.segments_cross_faces(v[tail[owner, edge]], v[head[owner, edge]],
+                                         v[np.asarray(s.faces)]).any(axis=1)
+    ok[live[owner[crossing]]] = False
+    return ok
 
 
 def lp_extreme_mask(points, tol=geom.TOL_GEOM):
@@ -584,13 +628,42 @@ def test_stacked_filter_matches_scalar_filter(family):
         # and every one of them, like the points within a few tolerances of
         # a face, gets the scalar class.
         pts = s.vertices[subsets]
-        probes = _tet_probe_points(pts)
+        points, index = _tet_probe_points(s.vertices, subsets)
+        probes = points[index]
         assert np.array_equal(probes, [[p.mean(axis=0)] + _tet_sample_points(p)
                                        for p in pts])
         probes = np.vstack([probes.reshape(-1, 3), _probes(s)])
         assert list(classify_points(s, probes)) == [classify(s, q)
                                                     for q in probes]
     assert 0 < sum(decisions) < len(decisions)
+
+
+def _unsorted_stacks(s, seed):
+    """Every 4-subset with its vertices in a seeded random order, those rows
+    shuffled, and the shuffled rows with some of them repeated."""
+    rng = np.random.default_rng(seed)
+    rows = rng.permuted(np.array(list(combinations(range(len(s.vertices)), 4))),
+                        axis=1)
+    yield rows
+    rows = rng.permutation(rows)
+    yield rows
+    yield np.concatenate([rows, rows[rng.integers(len(rows), size=len(rows) // 2)]])
+
+
+_UNSORTED_FILTER_SURFACES = {
+    "schonhardt": lambda: gen.schonhardt(gen.SchonhardtParams(math.pi / 6, 1.0, 2.0)),
+    "pushed-pair": lambda: gen.pushed_vertex_pair(1.4)[1],
+    "cube-with-flat-vertex": gen.cube_with_flat_vertex,
+    "t-poly": lambda: _tpoly(0.7),
+}
+
+
+@pytest.mark.parametrize("name", list(_UNSORTED_FILTER_SURFACES))
+def test_distinct_probe_filter_matches_per_candidate_filter(name):
+    s = _UNSORTED_FILTER_SURFACES[name]()
+    for k, stack in enumerate(_unsorted_stacks(s, 17)):
+        assert np.array_equal(tet_admissible(s, stack),
+                              per_candidate_tet_admissible(s, stack)), (name, k)
 
 
 # -- local finite differences ---------------------------------------------

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from rigidity_lab import generators as gen
+from rigidity_lab import triangulation
 from rigidity_lab.errors import InvalidTriangulation
 from rigidity_lab.geom import PolyhedralSurface
 from rigidity_lab.triangulation import (
@@ -137,6 +138,21 @@ def test_tet_admissible_stack_equals_single_calls(theta):
     single = [bool(tet_admissible(s, [tet])[0]) for tet in subsets]
     stacked = tet_admissible(s, np.array(subsets))
     assert stacked.dtype == bool and list(stacked) == single
+
+
+def test_tet_admissible_classifies_each_distinct_probe_once(monkeypatch):
+    # Schonhardt's 15 subsets have 15 centroids, 15 distinct edges of five
+    # samples and 20 distinct faces of four: 170 points, not 15 x 47 = 705.
+    s = gen.schonhardt(gen.SchonhardtParams(math.pi / 6.0, 1.0, 2.0))
+    rows = []
+
+    def counting(surface, points):
+        rows.append(len(points))
+        return classify_points(surface, points)
+
+    monkeypatch.setattr(triangulation, "classify_points", counting)
+    tet_admissible(s, list(combinations(range(6), 4)))
+    assert rows == [170]
 
 
 def test_tet_volume_unit():
