@@ -8,10 +8,10 @@ ordered lexicographically; that ordering indexes the stiffness matrix.
 ``find_decomposition`` is an exhaustive backtracking search over admissible
 candidate tetrahedra (desk scale, <= 16 vertices) that either produces a
 validated triangulation, certifies non-decomposability, or gives up on a
-node budget.  Its candidate filter ``tet_admissible`` probes each distinct
-edge and face of the candidates once: 4-subsets share them, so a
-12-vertex surface's 495 subsets have 1,705 distinct probe points, not
-495 x 47.
+node budget.  Its candidate filter ``tet_admissible`` is exact: it keeps a
+candidate when no surface edge, face or vertex reaches into it and its
+centroid is inside, testing each distinct edge and face of the candidates
+once.
 """
 
 from __future__ import annotations
@@ -113,75 +113,35 @@ def outward_faces(tet, positive: bool):
     return [_canon_oriented(f) for f in ((b, c, d), (a, c, b), (a, b, d), (a, d, c))]
 
 
-# -- point / surface classification ---------------------------------------
+# -- generalized winding numbers -------------------------------------------
 
-def _face_distances(p, a, b, c):
-    """Distance from each point of ``p`` (N, 3) to the triangle abc.
+def winding_numbers(s: PolyhedralSurface, p):
+    """Generalized winding numbers of the points ``p`` (N, 3) with respect
+    to the surface: 1 inside and 0 outside, up to rounding.
 
-    The Voronoi-region cases of the closest-point test (vertex a, vertex b,
-    edge ab, vertex c, edge ac, edge bc, then the face interior), tried in
-    that order with masks: each point takes the first case that holds.
-    """
-    ab, ac = b - a, c - a
-    ap, bp, cp = p - a, p - b, p - c
-    d1, d2 = ap @ ab, ap @ ac
-    d3, d4 = bp @ ab, bp @ ac
-    d5, d6 = cp @ ab, cp @ ac
-    va, vb, vc = d3 * d6 - d5 * d4, d5 * d2 - d1 * d6, d1 * d4 - d3 * d2
-    # Each case divides only where it applies; elsewhere the quotient may be
-    # 0/0 and is discarded by the selection.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_ab = (d1 / (d1 - d3))[:, None]
-        t_ac = (d2 / (d2 - d6))[:, None]
-        t_bc = ((d4 - d3) / ((d4 - d3) + (d5 - d6)))[:, None]
-        denom = va + vb + vc
-        v, w = (vb / denom)[:, None], (vc / denom)[:, None]
-        r = np.select(
-            [((d1 <= 0) & (d2 <= 0))[:, None],
-             ((d3 >= 0) & (d4 <= d3))[:, None],
-             ((vc <= 0) & (d1 >= 0) & (d3 <= 0))[:, None],
-             ((d6 >= 0) & (d5 <= d6))[:, None],
-             ((vb <= 0) & (d2 >= 0) & (d6 <= 0))[:, None],
-             ((va <= 0) & (d4 - d3 >= 0) & (d5 - d6 >= 0))[:, None]],
-            [ap, bp, ap - t_ab * ab, cp, ap - t_ac * ac, p - (b + t_bc * (c - b))],
-            ap - (v * ab + w * ac))
-    return np.linalg.norm(r, axis=1)
-
-
-def classify_points(s: PolyhedralSurface, p):
-    """Classes of the points ``p`` (N, 3): +1 strictly inside, 0 on the
-    boundary (within TOL_GEOM * scale), -1 outside.
-
-    One pass per surface face keeps the running minimum distance to the
-    surface and adds up the generalized winding number (the solid angle of
-    each face, Jacobson et al. 2013) in face order; points off the boundary
-    are inside when the winding number exceeds 1/2.
+    Each face adds its solid angle seen from the point (Jacobson et al.
+    2013), in one vectorized pass over all (point, face) pairs.
     """
     p = np.asarray(p, dtype=float)
-    v = s.vertices
-    dist = np.full(len(p), np.inf)
-    total = np.zeros(len(p))
-    for fa, fb, fc in s.faces:
-        dist = np.minimum(dist, _face_distances(p, v[fa], v[fb], v[fc]))
-        a, b, c = v[fa] - p, v[fb] - p, v[fc] - p
-        la, lb, lc = (np.linalg.norm(x, axis=1) for x in (a, b, c))
-        det = np.einsum("ij,ij->i", a, np.cross(b, c))
-        denom = (la * lb * lc + np.einsum("ij,ij->i", a, b) * lc
-                 + np.einsum("ij,ij->i", b, c) * la
-                 + np.einsum("ij,ij->i", c, a) * lb)
-        total += 2.0 * np.arctan2(det, denom)
-    inside = np.where(total / (4.0 * math.pi) > 0.5, 1, -1)
-    return np.where(dist <= geom.TOL_GEOM * geom.coord_scale(v), 0, inside)
+    tri = s.vertices[np.asarray(s.faces)]
+    a, b, c = (tri[:, k] - p[:, None] for k in range(3))      # (N, F, 3)
+
+    def dot(x, y):
+        return np.einsum("nfk,nfk->nf", x, y)
+
+    la, lb, lc = (np.sqrt(dot(x, x)) for x in (a, b, c))
+    denom = la * lb * lc + dot(a, b) * lc + dot(b, c) * la + dot(c, a) * lb
+    return np.arctan2(dot(a, np.cross(b, c)), denom).sum(axis=1) / (2.0 * math.pi)
 
 
 # Vertex triples of the four faces; face k omits vertex k.
 _TET_FACES = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
+# Six times the volume of a tetrahedron with a point x in place of vertex k
+# is this sign times (x - a) . ((b - a) x (c - a)), (a, b, c) face k.
+_SWAP_SIGN = np.array([[-1.0], [1.0], [-1.0], [1.0]])
 
 
 # -- decomposition search --------------------------------------------------
-
-_SAMPLE_T = np.array([0.1, 0.25, 0.5, 0.75, 0.9])
-
 
 def _distinct(rows, n):
     """The distinct rows of an integer stack (..., k) of indices below n, as
@@ -193,69 +153,57 @@ def _distinct(rows, n):
     return flat[first], inverse.reshape(rows.shape[:-1])
 
 
-def _tet_probe_points(v, tets):
-    """Probe points of the tetrahedra ``tets`` (C, 4) on the points ``v``.
-
-    Returns ``(points, probes)``: ``points[probes]`` is (C, 47, 3), each
-    candidate's centroid, then five samples along each edge (edges in
-    _TET_EDGES order), then each face's centroid followed by the midpoints
-    from it to the face's three vertices (faces in _TET_FACES order).  Each
-    distinct edge and face, as an ordered index tuple, is sampled once in
-    ``points``, from the same operands and in the same order as when each
-    candidate is sampled on its own.
-    """
-    c = len(tets)
-    edges, edge_of = _distinct(tets[:, _TET_EDGES], len(v))   # (E, 2), (C, 6)
-    faces, face_of = _distinct(tets[:, _TET_FACES], len(v))   # (F, 3), (C, 4)
-    t = _SAMPLE_T[:, None]
-    edge = (1 - t) * v[edges[:, 0], None, :] + t * v[edges[:, 1], None, :]
-    tri = v[faces]                                            # (F, 3, 3)
-    cen = tri.mean(axis=1, keepdims=True)
-    face = np.concatenate([cen, 0.5 * (cen + tri)], axis=1)   # (F, 4, 3)
-    points = np.concatenate([v[tets].mean(axis=1), edge.reshape(-1, 3),
-                             face.reshape(-1, 3)])
-    first_face = c + 5 * len(edges)
-    probes = np.concatenate(
-        [np.arange(c)[:, None],
-         (c + 5 * edge_of[..., None] + np.arange(5)).reshape(c, 30),
-         (first_face + 4 * face_of[..., None] + np.arange(4)).reshape(c, 16)],
-        axis=1)
-    return points, probes
-
-
 def tet_admissible(s: PolyhedralSurface, tets):
     """Candidate filter: the tetrahedron must lie inside the surface.
 
     ``tets`` is a stack (C, 4) of vertex-index 4-tuples, and the result a
     bool array (C,).  A candidate is admissible when its volume exceeds
-    TOL_GEOM * scale**3, its centroid is strictly inside, none of its 46
-    edge and face probe points is outside (``classify_points``), and no
-    tetrahedron edge that is not a surface edge properly crosses a surface
-    face.  Candidates that share an edge or a face share its probe points:
-    one ``classify_points`` call classifies each distinct point once, and
-    each distinct edge is tested for crossings once.
+    TOL_GEOM * scale**3 and four exact tests hold:
+
+    - none of its edges that is not a surface edge properly crosses a
+      surface face;
+    - no surface edge properly crosses one of its faces;
+    - no surface vertex lies strictly inside it: some corner, replaced by
+      the vertex, leaves no volume of the candidate's sign above
+      TOL_GEOM * scale**3;
+    - its centroid's generalized winding number exceeds 1/2.
+
+    A candidate that reaches outside the closed surface has the surface in
+    its interior (a vertex, an edge through one of its faces, or a face one
+    of its edges crosses) or lies outside whole.  Each test runs on the
+    candidates that passed the ones before, the edge and face tests once per
+    distinct edge and face as an ordered index tuple, the winding number on
+    the centroids that are left.
     """
     idx = np.asarray(tets, dtype=int).reshape(-1, 4)
     v = s.vertices
-    scale = geom.coord_scale(v)
+    tol = geom.TOL_GEOM * geom.coord_scale(v)**3
     vol = tet_volumes(v[idx])
-    ok = np.abs(vol) > geom.TOL_GEOM * scale**3
+    ok = np.abs(vol) > tol
 
-    live = np.flatnonzero(ok)
-    points, probes = _tet_probe_points(v, idx[live])
-    cls = classify_points(s, points)[probes]
-    ok[live] = (cls[:, 0] == 1) & ~np.any(cls == -1, axis=1)
-
-    live = np.flatnonzero(ok)
+    ends = np.asarray(s.edges)
     surface_edge = np.zeros((len(v), len(v)), dtype=bool)
-    for i, j in s.edges:
-        surface_edge[i, j] = surface_edge[j, i] = True
+    surface_edge[ends[:, 0], ends[:, 1]] = surface_edge[ends[:, 1], ends[:, 0]] = True
+    live = np.flatnonzero(ok)
     edges, edge_of = _distinct(idx[live][:, _TET_EDGES], len(v))
     tested = np.flatnonzero(~surface_edge[edges[:, 0], edges[:, 1]])
     crossing = np.zeros(len(edges), dtype=bool)
     crossing[tested] = geom.segments_cross_faces(
         v[edges[tested, 0]], v[edges[tested, 1]], v[np.asarray(s.faces)]).any(axis=1)
     ok[live] = ~crossing[edge_of].any(axis=1)
+
+    live = np.flatnonzero(ok)
+    faces, face_of = _distinct(idx[live][:, _TET_FACES], len(v))
+    tri = v[faces]                                            # (D, 3, 3)
+    crossed = geom.segments_cross_faces(v[ends[:, 0]], v[ends[:, 1]], tri).any(axis=0)
+    normal = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
+    side = np.einsum("dnk,dk->dn", v - tri[:, :1], normal)    # (D, n)
+    swapped = np.sign(vol[live])[:, None, None] * _SWAP_SIGN * side[face_of]
+    inside = (swapped > 6.0 * tol).all(axis=1).any(axis=1)    # (L, 4, n) -> (L,)
+    ok[live] = ~crossed[face_of].any(axis=1) & ~inside
+
+    live = np.flatnonzero(ok)
+    ok[live] = winding_numbers(s, v[idx[live]].mean(axis=1)) > 0.5
     return ok
 
 

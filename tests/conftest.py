@@ -1,5 +1,36 @@
 import sys
 
+import numpy as np
+import pytest
+from scipy.spatial import ConvexHull
+
+from rigidity_lab.geom import PolyhedralSurface
+
+
+def build_star_surface(seed: int, n: int) -> PolyhedralSurface:
+    """A seeded surface of ``n`` vertices, star-shaped about the origin.
+
+    ``n`` random unit directions (drawn again until the origin lies at
+    least 0.05 inside their hull), the triangulation of their convex hull,
+    and each direction scaled by a random radius in [0.5, 1.5].  Scaling
+    along rays keeps every face's cone from the origin, so the surface stays
+    embedded while its dents make some 4-subsets reach outside.
+    """
+    rng = np.random.default_rng(seed)
+    while True:
+        d = rng.standard_normal((n, 3))
+        d /= np.linalg.norm(d, axis=1, keepdims=True)
+        hull = ConvexHull(d)
+        if np.all(hull.equations[:, 3] < -0.05):
+            break
+    return PolyhedralSurface(d * rng.uniform(0.5, 1.5, n)[:, None], hull.simplices)
+
+
+@pytest.fixture
+def star_surface():
+    """``build_star_surface``, the seeded star-shaped surface builder."""
+    return build_star_surface
+
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     """Print one PASS/FAIL line per acceptance criterion, uncaptured."""

@@ -6,16 +6,20 @@ face-count validation that the boundary-chain certificate replaced, the
 per-tetrahedron sum of scalar dihedral angles that total angles came from
 before the stacked kernel, a finite-difference M_T that recomputes every
 total angle for every perturbation, high-precision differences of the
-dihedral-angle formula, the per-candidate, per-point decomposition filter
-and the stacked filter that probed every candidate on its own, the
-per-vertex linear program that decided hull extremality before Qhull did,
-and the region growing that oriented faces by comparing directed-edge
-sets.  The fast paths must give the same verdicts and bitwise the same
-matrices; the exact M_T, which replaces a difference quotient by a
-derivative, must agree to a tolerance, and so must the kernel's total
-angles, whose arccos can round differently in the last bit.
+dihedral-angle formula, the scalar exact decomposition filter (one
+candidate against one surface edge, face and vertex at a time), the probe
+filter that the exact test replaced, the per-vertex linear program that
+decided hull extremality before Qhull did, and the region growing that
+oriented faces by comparing directed-edge sets.  The fast paths must give
+the same verdicts and bitwise the same matrices; the exact M_T, which
+replaces a difference quotient by a derivative, must agree to a tolerance,
+and so must the kernel's total angles, whose arccos can round differently
+in the last bit.  The probe filter is unsound, so the exact filter must
+admit a subset of its candidates, each left-out one with a certificate
+that it reaches outside.
 """
 
+import functools
 import math
 import sys
 from collections import Counter
@@ -50,17 +54,17 @@ from rigidity_lab.stiffness import (
 )
 from rigidity_lab.triangulation import (
     Triangulation,
-    _tet_probe_points,
-    classify_points,
     fan_triangulation,
     find_decomposition,
     tet_admissible,
     tet_volume,
     tet_volumes,
     tri_validate,
+    winding_numbers,
 )
 
 _TET_EDGES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+_TET_FACES = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
 
 
 # -- reference implementations --------------------------------------------
@@ -188,40 +192,59 @@ def mp_dihedral_jacobian(lengths) -> np.ndarray:
     return jac
 
 
-def _point_triangle_distance(p, a, b, c) -> float:
-    ab, ac, ap = b - a, c - a, p - a
-    d1, d2 = np.dot(ab, ap), np.dot(ac, ap)
-    if d1 <= 0 and d2 <= 0:
-        return float(np.linalg.norm(ap))
-    bp = p - b
-    d3, d4 = np.dot(ab, bp), np.dot(ac, bp)
-    if d3 >= 0 and d4 <= d3:
-        return float(np.linalg.norm(bp))
-    vc = d1 * d4 - d3 * d2
-    if vc <= 0 and d1 >= 0 and d3 <= 0:
-        t = d1 / (d1 - d3)
-        return float(np.linalg.norm(ap - t * ab))
-    cp = p - c
-    d5, d6 = np.dot(ab, cp), np.dot(ac, cp)
-    if d6 >= 0 and d5 <= d6:
-        return float(np.linalg.norm(cp))
-    vb = d5 * d2 - d1 * d6
-    if vb <= 0 and d2 >= 0 and d6 <= 0:
-        t = d2 / (d2 - d6)
-        return float(np.linalg.norm(ap - t * ac))
-    va = d3 * d6 - d5 * d4
-    if va <= 0 and (d4 - d3) >= 0 and (d5 - d6) >= 0:
-        t = (d4 - d3) / ((d4 - d3) + (d5 - d6))
-        return float(np.linalg.norm(p - (b + t * (c - b))))
-    denom = va + vb + vc
-    v, w = vb / denom, vc / denom
-    return float(np.linalg.norm(ap - (v * ab + w * ac)))
+def _face_distances(p, a, b, c):
+    """Distance from each point of ``p`` (N, 3) to the triangle abc.
+
+    The Voronoi-region cases of the closest-point test (vertex a, vertex b,
+    edge ab, vertex c, edge ac, edge bc, then the face interior), tried in
+    that order with masks: each point takes the first case that holds.
+    """
+    ab, ac = b - a, c - a
+    ap, bp, cp = p - a, p - b, p - c
+    d1, d2 = ap @ ab, ap @ ac
+    d3, d4 = bp @ ab, bp @ ac
+    d5, d6 = cp @ ab, cp @ ac
+    va, vb, vc = d3 * d6 - d5 * d4, d5 * d2 - d1 * d6, d1 * d4 - d3 * d2
+    # Each case divides only where it applies; elsewhere the quotient may be
+    # 0/0 and is discarded by the selection.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_ab = (d1 / (d1 - d3))[:, None]
+        t_ac = (d2 / (d2 - d6))[:, None]
+        t_bc = ((d4 - d3) / ((d4 - d3) + (d5 - d6)))[:, None]
+        denom = va + vb + vc
+        v, w = (vb / denom)[:, None], (vc / denom)[:, None]
+        r = np.select(
+            [((d1 <= 0) & (d2 <= 0))[:, None],
+             ((d3 >= 0) & (d4 <= d3))[:, None],
+             ((vc <= 0) & (d1 >= 0) & (d3 <= 0))[:, None],
+             ((d6 >= 0) & (d5 <= d6))[:, None],
+             ((vb <= 0) & (d2 >= 0) & (d6 <= 0))[:, None],
+             ((va <= 0) & (d4 - d3 >= 0) & (d5 - d6 >= 0))[:, None]],
+            [ap, bp, ap - t_ab * ab, cp, ap - t_ac * ac, p - (b + t_bc * (c - b))],
+            ap - (v * ab + w * ac))
+    return np.linalg.norm(r, axis=1)
 
 
-def surface_distance(s, p) -> float:
+def classify_points(s, p):
+    """Classes of the points ``p`` (N, 3): +1 strictly inside, 0 on the
+    boundary (within TOL_GEOM * scale), -1 outside: a running minimum of
+    the distance to each face, and the winding number summed in face order
+    for the points off the boundary."""
     p = np.asarray(p, dtype=float)
     v = s.vertices
-    return min(_point_triangle_distance(p, v[a], v[b], v[c]) for a, b, c in s.faces)
+    dist = np.full(len(p), np.inf)
+    total = np.zeros(len(p))
+    for fa, fb, fc in s.faces:
+        dist = np.minimum(dist, _face_distances(p, v[fa], v[fb], v[fc]))
+        a, b, c = v[fa] - p, v[fb] - p, v[fc] - p
+        la, lb, lc = (np.linalg.norm(x, axis=1) for x in (a, b, c))
+        det = np.einsum("ij,ij->i", a, np.cross(b, c))
+        denom = (la * lb * lc + np.einsum("ij,ij->i", a, b) * lc
+                 + np.einsum("ij,ij->i", b, c) * la
+                 + np.einsum("ij,ij->i", c, a) * lb)
+        total += 2.0 * np.arctan2(det, denom)
+    inside = np.where(total / (4.0 * math.pi) > 0.5, 1, -1)
+    return np.where(dist <= geom.TOL_GEOM * geom.coord_scale(v), 0, inside)
 
 
 def winding_number(s, p) -> float:
@@ -238,27 +261,27 @@ def winding_number(s, p) -> float:
     return total / (4.0 * math.pi)
 
 
-def scalar_classify_point(s, p, tol=geom.TOL_GEOM) -> int:
-    scale = geom.coord_scale(s.vertices)
-    if surface_distance(s, p) <= tol * scale:
-        return 0
-    return 1 if winding_number(s, p) > 0.5 else -1
+def _cross(a, b):
+    """np.cross of two 3-vectors, component by component in the same order,
+    without its per-call overhead."""
+    return np.array([a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+                     a[0] * b[1] - a[1] * b[0]])
 
 
 def _segment_crosses_triangle(p0, p1, a, b, c, tol) -> bool:
     """Proper crossing: interior of the segment through the triangle interior."""
     d = p1 - p0
     e1, e2 = b - a, c - a
-    h = np.cross(d, e2)
+    h = _cross(d, e2)
     det = np.dot(e1, h)
-    if abs(det) <= 1e-12 * np.linalg.norm(d) * np.linalg.norm(np.cross(e1, e2)):
-        return False  # parallel; grazing contact handled by point sampling
+    if abs(det) <= 1e-12 * np.linalg.norm(d) * np.linalg.norm(_cross(e1, e2)):
+        return False  # parallel: no proper crossing
     f = 1.0 / det
     sv = p0 - a
     u = f * np.dot(sv, h)
     if u <= tol or u >= 1 - tol:
         return False
-    q = np.cross(sv, e1)
+    q = _cross(sv, e1)
     v = f * np.dot(d, q)
     if v <= tol or v >= 1 - tol or u + v >= 1 - tol:
         return False
@@ -266,45 +289,54 @@ def _segment_crosses_triangle(p0, p1, a, b, c, tol) -> bool:
     return tol < t < 1 - tol
 
 
-def _tet_sample_points(pts):
-    """Interior probe points of a tetra: edge samples and face samples."""
-    samples = []
-    for i, j in _TET_EDGES:
-        for t in (0.1, 0.25, 0.5, 0.75, 0.9):
-            samples.append((1 - t) * pts[i] + t * pts[j])
-    for omit in range(4):
-        tri = np.delete(pts, omit, axis=0)
-        cen = tri.mean(axis=0)
-        samples.append(cen)
-        for k in range(3):
-            samples.append(0.5 * (cen + tri[k]))
-    return samples
-
-
-def scalar_tet_admissible(s, tet, tol=geom.TOL_GEOM,
-                          classify=scalar_classify_point) -> bool:
-    """One candidate, one probe point and one face at a time."""
-    pts = s.vertices[list(tet)]
-    scale = geom.coord_scale(s.vertices)
-    if abs(tet_volume(pts)) <= tol * scale**3:
-        return False
-    if classify(s, pts.mean(axis=0), tol) != 1:
-        return False
-    for q in _tet_sample_points(pts):
-        if classify(s, q, tol) == -1:
-            return False
-    surf_edges = set(s.edges)
+def _memo_crossing(s):
+    """_segment_crosses_triangle on vertex indices of the surface, computed
+    once per distinct (segment, triangle): candidates share their edges and
+    faces."""
     v = s.vertices
-    for i, j in _TET_EDGES:
-        if geom.canonical_edge(tet[i], tet[j]) in surf_edges:
-            continue
-        for a, b, c in s.faces:
-            if _segment_crosses_triangle(pts[i], pts[j], v[a], v[b], v[c], 1e-9):
-                return False
+
+    @functools.cache
+    def crosses(i, j, a, b, c):
+        return _segment_crosses_triangle(v[i], v[j], v[a], v[b], v[c], 1e-9)
+    return crosses
+
+
+def _strictly_inside(pts, x, bound) -> bool:
+    """Whether x, put in place of each corner of the tetrahedron ``pts`` in
+    turn, leaves each time a volume of the tetrahedron's sign above
+    ``bound``."""
+    sign = math.copysign(1.0, tet_volume(pts))
+    for k in range(4):
+        q = pts.copy()
+        q[k] = x
+        if sign * tet_volume(q) <= bound:
+            return False
     return True
 
 
-_TET_FACES = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
+def scalar_exact_admissible(s, tet, crosses) -> bool:
+    """One candidate against one surface edge, face and vertex at a time:
+    a volume above TOL_GEOM * scale**3, no edge of it that is not a surface
+    edge crossing a surface face, no surface edge crossing a face of it, no
+    surface vertex strictly inside it, and a centroid that winds more than
+    1/2.  ``crosses`` is ``_memo_crossing(s)``."""
+    v = s.vertices
+    pts = v[list(tet)]
+    bound = geom.TOL_GEOM * geom.coord_scale(v)**3
+    if abs(tet_volume(pts)) <= bound:
+        return False
+    surf_edges = s.edges
+    for i, j in _TET_EDGES:
+        if geom.canonical_edge(tet[i], tet[j]) in surf_edges:
+            continue
+        if any(crosses(tet[i], tet[j], *f) for f in s.faces):
+            return False
+    for i, j in surf_edges:
+        if any(crosses(i, j, *(tet[k] for k in f)) for f in _TET_FACES):
+            return False
+    if any(_strictly_inside(pts, x, bound) for x in v):
+        return False
+    return winding_number(s, pts.mean(axis=0)) > 0.5
 
 
 def per_candidate_probe_points(pts):
@@ -323,9 +355,11 @@ def per_candidate_probe_points(pts):
 
 
 def per_candidate_tet_admissible(s, tets):
-    """The stacked filter that classifies all 47 probe points of every
-    candidate and tests every non-surface edge of every candidate, shared
-    or not."""
+    """The probe filter that the exact test replaced: the centroid strictly
+    inside, none of the 46 edge and face probe points outside, and no edge
+    that is not a surface edge crossing a surface face.  It classifies all
+    47 probe points and tests every such edge of every candidate, shared or
+    not, and admits some tetrahedra that reach outside."""
     idx = np.asarray(tets, dtype=int).reshape(-1, 4)
     v = s.vertices
     pts = v[idx]
@@ -546,19 +580,6 @@ def test_chain_certificate_matches_pairwise_oracle():
 
 # -- decomposition candidate filter ---------------------------------------
 
-def _memo_classify():
-    """scalar_classify_point, computed once per distinct point: candidates
-    that share an edge or a face share those probe points bit for bit."""
-    memo = {}
-
-    def classify(s, p, tol=geom.TOL_GEOM):
-        key = (np.asarray(p, dtype=float).tobytes(), tol)
-        if key not in memo:
-            memo[key] = scalar_classify_point(s, p, tol)
-        return memo[key]
-    return classify
-
-
 def _tpoly(shift):
     surface, _ = gen.t_polyhedron(gen.TPolyParams(
         gen.SchonhardtParams(math.pi / 6, 1.0, 2.0),
@@ -597,44 +618,50 @@ def _filter_surfaces(family):
         yield from _moved_copies(gen.pushed_vertex_pair(1.4)[1])
 
 
-def _probes(s):
-    """Points pushed off each face along its unit normal, to 0.5x and 2x
-    the boundary tolerance: at the face centroid, near a corner and at an
-    edge midpoint."""
-    v = s.vertices
-    step = geom.TOL_GEOM * geom.coord_scale(v)
-    weights = np.array([[1 / 3, 1 / 3, 1 / 3], [0.8, 0.1, 0.1], [0.5, 0.5, 0]])
-    out = []
-    for face in s.faces:
-        tri = v[list(face)]
-        n = np.cross(tri[1] - tri[0], tri[2] - tri[0])
-        n /= np.linalg.norm(n)
-        for k in (-2.0, -0.5, 0.5, 2.0):
-            out.append(weights @ tri + k * step * n)
-    return np.vstack(out)
+def _reaches_outside(s, tet, rng, samples=4000) -> bool:
+    """A certificate that the tetrahedron is not inside the surface: a
+    surface vertex strictly inside it, or one of ``samples`` uniform
+    samples in it whose winding number is below 1/2."""
+    pts = s.vertices[list(tet)]
+    bound = geom.TOL_GEOM * geom.coord_scale(s.vertices)**3
+    if any(_strictly_inside(pts, x, bound) for x in s.vertices):
+        return True
+    return bool(np.any(winding_numbers(s, rng.dirichlet(np.ones(4), samples) @ pts)
+                       < 0.5))
+
+
+def _check_exact_filter(s, stack, rng):
+    """``tet_admissible`` on the stack equals the scalar exact filter and
+    admits nothing the probe filter rejects; each candidate only the probe
+    filter admits gets a certificate.  Returns the exact decisions and the
+    number of probe-only candidates."""
+    exact = tet_admissible(s, stack)
+    crosses = _memo_crossing(s)
+    assert np.array_equal(exact, [scalar_exact_admissible(s, tet, crosses)
+                                  for tet in stack])
+    probe = per_candidate_tet_admissible(s, stack)
+    assert not np.any(exact & ~probe)
+    for tet in stack[probe & ~exact]:
+        assert _reaches_outside(s, tet, rng), tet
+    return exact, int(np.sum(probe & ~exact))
+
+
+# Candidates that only the probe filter admits: the two of the pushed pair's
+# flexible member at depth 1.4, (0, 2, 3, 4) and (0, 2, 4, 5), in "fixed",
+# and their three moved copies in "moved".
+_PROBE_ONLY = {"schonhardt": 0, "t-poly": 0, "fixed": 2, "moved": 6}
 
 
 @pytest.mark.parametrize("family", ["schonhardt", "t-poly", "fixed", "moved"])
 def test_stacked_filter_matches_scalar_filter(family):
-    decisions = []
+    decisions, probe_only = [], 0
+    rng = np.random.default_rng(29)
     for s in _filter_surfaces(family):
-        classify = _memo_classify()
         subsets = np.array(list(combinations(range(len(s.vertices)), 4)))
-        expected = [scalar_tet_admissible(s, tet, classify=classify)
-                    for tet in subsets]
-        assert list(tet_admissible(s, subsets)) == expected
-        decisions += expected
-        # The stacked probe points are the scalar ones, in the same order,
-        # and every one of them, like the points within a few tolerances of
-        # a face, gets the scalar class.
-        pts = s.vertices[subsets]
-        points, index = _tet_probe_points(s.vertices, subsets)
-        probes = points[index]
-        assert np.array_equal(probes, [[p.mean(axis=0)] + _tet_sample_points(p)
-                                       for p in pts])
-        probes = np.vstack([probes.reshape(-1, 3), _probes(s)])
-        assert list(classify_points(s, probes)) == [classify(s, q)
-                                                    for q in probes]
+        exact, extra = _check_exact_filter(s, subsets, rng)
+        decisions += list(exact)
+        probe_only += extra
+    assert probe_only == _PROBE_ONLY[family]
     assert 0 < sum(decisions) < len(decisions)
 
 
@@ -659,11 +686,12 @@ _UNSORTED_FILTER_SURFACES = {
 
 
 @pytest.mark.parametrize("name", list(_UNSORTED_FILTER_SURFACES))
-def test_distinct_probe_filter_matches_per_candidate_filter(name):
+def test_stacked_filter_matches_scalar_filter_on_unsorted_stacks(name):
     s = _UNSORTED_FILTER_SURFACES[name]()
+    rng = np.random.default_rng(31)
     for k, stack in enumerate(_unsorted_stacks(s, 17)):
-        assert np.array_equal(tet_admissible(s, stack),
-                              per_candidate_tet_admissible(s, stack)), (name, k)
+        _, probe_only = _check_exact_filter(s, stack, rng)
+        assert (probe_only > 0) == (name == "pushed-pair"), (name, k)
 
 
 # -- local finite differences ---------------------------------------------

@@ -12,12 +12,12 @@ from rigidity_lab.triangulation import (
     BudgetExceeded,
     NonDecomposable,
     Triangulation,
-    classify_points,
     fan_triangulation,
     find_decomposition,
     tet_admissible,
     tet_volume,
     vertex_census,
+    winding_numbers,
 )
 
 
@@ -117,9 +117,9 @@ def test_degenerate_tet_is_reported():
 
 def test_classify_point():
     s = gen.octahedron()
-    # Inside, outside, on the boundary.
-    assert list(classify_points(s, [[0.0, 0.0, 0.0], [2.0, 0.0, 0.0],
-                                    [1.0, 0.0, 0.0]])) == [1, -1, 0]
+    # Inside and outside.
+    assert winding_numbers(s, [[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]]) == pytest.approx(
+        [1.0, 0.0], abs=1e-12)
 
 
 def test_tet_admissible_respects_surface():
@@ -140,19 +140,51 @@ def test_tet_admissible_stack_equals_single_calls(theta):
     assert stacked.dtype == bool and list(stacked) == single
 
 
-def test_tet_admissible_classifies_each_distinct_probe_once(monkeypatch):
-    # Schonhardt's 15 subsets have 15 centroids, 15 distinct edges of five
-    # samples and 20 distinct faces of four: 170 points, not 15 x 47 = 705.
+def test_tet_admissible_winds_only_the_centroids(monkeypatch):
+    # Winding numbers are computed once, for centroids only, and only for
+    # the candidates the crossing and vertex tests leave: on Schonhardt's
+    # octahedron the 3 of 15 that lie outside whole, where the probe filter
+    # classified 170 probe points.
     s = gen.schonhardt(gen.SchonhardtParams(math.pi / 6.0, 1.0, 2.0))
-    rows = []
+    subsets = np.array(list(combinations(range(6), 4)))
+    calls = []
 
     def counting(surface, points):
-        rows.append(len(points))
-        return classify_points(surface, points)
+        calls.append(np.asarray(points))
+        return winding_numbers(surface, points)
 
-    monkeypatch.setattr(triangulation, "classify_points", counting)
-    tet_admissible(s, list(combinations(range(6), 4)))
-    assert rows == [170]
+    monkeypatch.setattr(triangulation, "winding_numbers", counting)
+    tet_admissible(s, subsets)
+    assert [len(p) for p in calls] == [3]
+    centroids = s.vertices[subsets].mean(axis=1)
+    assert all(any(np.array_equal(p, c) for c in centroids) for p in calls[0])
+
+
+def test_tet_admissible_rejects_tetrahedra_that_reach_outside():
+    # The probe filter's 46 points all miss the part outside.
+    pushed = gen.pushed_vertex_pair(1.4)[1]
+    assert not tet_admissible(pushed, [(0, 2, 3, 4), (0, 2, 4, 5)]).any()
+    t_poly, _ = gen.t_polyhedron(gen.TPolyParams(
+        gen.SchonhardtParams(math.pi / 6, 1.0, 2.0),
+        gen.SchonhardtParams(0.0, 2.5, 4.0), vertical_shift=0.7))
+    assert not tet_admissible(t_poly, [(3, 6, 7, 11)]).any()
+
+
+def test_admitted_tetrahedra_lie_inside_star_surfaces(star_surface):
+    # 500 uniform samples in each admitted candidate all wind more than 1/2.
+    admitted = 0
+    for seed in range(40):
+        s = star_surface(seed, 6 + seed % 7)
+        subsets = np.array(list(combinations(range(len(s.vertices)), 4)))
+        kept = subsets[tet_admissible(s, subsets)]
+        weights = np.random.default_rng(seed).dirichlet(np.ones(4), (len(kept), 500))
+        for k in range(0, len(kept), 20):
+            samples = np.einsum("tsc,tcx->tsx", weights[k:k + 20],
+                                s.vertices[kept[k:k + 20]])
+            wind = winding_numbers(s, samples.reshape(-1, 3)).reshape(-1, 500)
+            assert wind.min() > 0.5, (seed, kept[k + np.argmin(wind.min(axis=1))])
+        admitted += len(kept)
+    assert admitted > 1000
 
 
 def test_tet_volume_unit():
