@@ -43,12 +43,14 @@ def rigidity_matrix(s: PolyhedralSurface) -> RigidityMatrix:
     s.require_valid()
     p = s.vertices
     edges = s.edges
-    r = np.zeros((len(edges), 3 * len(p)))
-    for row, (i, j) in enumerate(edges):
-        d = p[i] - p[j]
-        r[row, 3 * i:3 * i + 3] = d
-        r[row, 3 * j:3 * j + 3] = -d
-    return RigidityMatrix(matrix=r, edges=edges, n_vertices=len(p))
+    i, j = np.array(edges, dtype=int).reshape(-1, 2).T
+    rows = np.arange(len(edges))
+    d = p[i] - p[j]
+    r = np.zeros((len(edges), len(p), 3))
+    r[rows, i] = d
+    r[rows, j] = -d
+    return RigidityMatrix(matrix=r.reshape(len(edges), -1), edges=edges,
+                          n_vertices=len(p))
 
 
 def trivial_motions(s: PolyhedralSurface) -> np.ndarray:
@@ -56,17 +58,11 @@ def trivial_motions(s: PolyhedralSurface) -> np.ndarray:
     the three rotation fields e_axis x p. Returned as rows of a 6 x 3|V|
     array."""
     s.require_valid()
-    p = s.vertices
-    fields = []
-    for axis in range(3):
-        q = np.zeros_like(p)
-        q[:, axis] = 1.0
-        fields.append(q.ravel())
-    for axis in range(3):
-        e = np.zeros(3)
-        e[axis] = 1.0
-        fields.append(np.cross(e, p).ravel())
-    return np.array(fields)
+    x, y, z = s.vertices.T
+    zero, one = np.zeros_like(x), np.ones_like(x)
+    fields = [(one, zero, zero), (zero, one, zero), (zero, zero, one),
+              (zero, -z, y), (z, zero, -x), (-y, x, zero)]
+    return np.array(fields).transpose(0, 2, 1).reshape(6, -1)
 
 
 def _trivial_frame(s: PolyhedralSurface) -> np.ndarray:

@@ -16,6 +16,7 @@ length dimension, so no decision depends on where the input sits or its size.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
@@ -132,9 +133,10 @@ class PolyhedralSurface:
         self._report: ValidityReport | None = None
         self._hull_masks: tuple[np.ndarray, np.ndarray] | None = None
 
-    @property
+    @cached_property
     def edges(self) -> list[tuple[int, int]]:
-        """Canonical (i<j) edge pairs, sorted lexicographically."""
+        """Canonical (i<j) edge pairs, sorted lexicographically; computed
+        once per surface, so every access returns the same list."""
         es = {canonical_edge(f[k], f[(k + 1) % 3]) for f in self.faces for k in range(3)}
         return sorted(es)
 
@@ -208,8 +210,8 @@ def surface_validate(s: PolyhedralSurface) -> ValidityReport:
     formed = [fi for fi in range(len(s.faces)) if fi not in found]
     if formed:
         tri = v[np.array([s.faces[fi] for fi in formed])]
-        area = 0.5 * np.linalg.norm(np.cross(tri[:, 1] - tri[:, 0],
-                                             tri[:, 2] - tri[:, 0]), axis=1)
+        area = 0.5 * np.linalg.norm(cross3(tri[:, 1] - tri[:, 0],
+                                           tri[:, 2] - tri[:, 0]), axis=1)
         for fi, a in zip(formed, area):
             if a <= TOL_GEOM * scale**2:
                 found[fi] = ("degenerate-face",
@@ -254,6 +256,23 @@ def surface_validate(s: PolyhedralSurface) -> ValidityReport:
     return rep
 
 
+def cross3(a, b) -> np.ndarray:
+    """``np.cross`` of two broadcastable stacks (..., 3) of 3-vectors,
+    bitwise equal to it: each component is the same product minus the same
+    product, written into the result without np.cross's axis handling."""
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), np.result_type(a, b))
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    o0, o1, o2 = out[..., 0], out[..., 1], out[..., 2]
+    np.multiply(a1, b2, out=o0)
+    o0 -= a2 * b1
+    np.multiply(a2, b0, out=o1)
+    o1 -= a0 * b2
+    np.multiply(a0, b1, out=o2)
+    o2 -= a1 * b0
+    return out
+
+
 def segments_cross_faces(p0, p1, tri) -> np.ndarray:
     """(K, 3) segments against (F, 3, 3) triangles -> (K, F) bool: True
     where the interior of the segment properly crosses the interior of the
@@ -269,12 +288,12 @@ def segments_cross_faces(p0, p1, tri) -> np.ndarray:
     a = tri[:, 0]
     e1, e2 = tri[:, 1] - a, tri[:, 2] - a
     d = (p1 - p0)[:, None, :]                      # (K, 1, 3)
-    h = np.cross(d, e2)                            # (K, F, 3)
+    h = cross3(d, e2)                              # (K, F, 3)
     det = np.sum(e1 * h, axis=-1)
     crossing = np.abs(det) > 1e-12 * (np.linalg.norm(d, axis=-1)
-                                      * np.linalg.norm(np.cross(e1, e2), axis=-1))
+                                      * np.linalg.norm(cross3(e1, e2), axis=-1))
     sv = p0[:, None, :] - a
-    q = np.cross(sv, e1)
+    q = cross3(sv, e1)
     # Parallel pairs divide by zero, or overflow where det is subnormal;
     # the mask discards their quotients.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):

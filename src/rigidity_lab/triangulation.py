@@ -10,14 +10,15 @@ candidate tetrahedra (desk scale, <= 16 vertices) that either produces a
 validated triangulation, certifies non-decomposability, or gives up on a
 node budget.  Its candidate filter ``tet_admissible`` is exact: it keeps a
 candidate when no surface edge, face or vertex reaches into it and its
-centroid is inside, testing each distinct edge and face of the candidates
-once.
+centroid is inside, reading every crossing and volume sign off one table of
+the orientations of all vertex quadruples.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -42,8 +43,10 @@ class Triangulation:
         self.points = np.asarray(self.points, dtype=float)
         self.tetrahedra = [tuple(int(i) for i in t) for t in self.tetrahedra]
 
-    @property
+    @cached_property
     def interior_edges(self) -> list[tuple[int, int]]:
+        """Computed once per triangulation, so every access returns the
+        same list."""
         surf = set(self.surface.edges)
         tet_edges = {canonical_edge(t[a], t[b]) for t in self.tetrahedra
                      for a, b in _TET_EDGES}
@@ -131,26 +134,36 @@ def winding_numbers(s: PolyhedralSurface, p):
 
     la, lb, lc = (np.sqrt(dot(x, x)) for x in (a, b, c))
     denom = la * lb * lc + dot(a, b) * lc + dot(b, c) * la + dot(c, a) * lb
-    return np.arctan2(dot(a, np.cross(b, c)), denom).sum(axis=1) / (2.0 * math.pi)
+    return np.arctan2(dot(a, geom.cross3(b, c)), denom).sum(axis=1) / (2.0 * math.pi)
 
 
 # Vertex triples of the four faces; face k omits vertex k.
 _TET_FACES = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
-# Six times the volume of a tetrahedron with a point x in place of vertex k
-# is this sign times (x - a) . ((b - a) x (c - a)), (a, b, c) face k.
-_SWAP_SIGN = np.array([[-1.0], [1.0], [-1.0], [1.0]])
 
 
 # -- decomposition search --------------------------------------------------
 
-def _distinct(rows, n):
-    """The distinct rows of an integer stack (..., k) of indices below n, as
-    (D, k) in key order, and the position of each row among them.  A row is
-    keyed as it stands, not sorted, so (i, j) and (j, i) stay apart."""
-    flat = rows.reshape(-1, rows.shape[-1])
-    keys = flat @ n ** np.arange(flat.shape[1])
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    return flat[first], inverse.reshape(rows.shape[:-1])
+def _orientations(v) -> np.ndarray:
+    """The orientation table of the points ``v`` (n, 3): the (n, n, n, n)
+    array O[i, j, k, l] = det(v_j - v_i, v_k - v_i, v_l - v_i), six times
+    the signed volume of the tetrahedron (i, j, k, l)."""
+    n = len(v)
+    d = v[None, :, :] - v[:, None, :]                          # d[i, j] = v_j - v_i
+    c = geom.cross3(d[:, :, None, :], d[:, None, :, :])        # d[i, k] x d[i, l]
+    return np.matmul(d, c.reshape(n, n * n, 3).transpose(0, 2, 1)).reshape(n, n, n, n)
+
+
+def _proper_crossings(o, p, q, a, b, c, tol) -> np.ndarray:
+    """Whether segment pq properly crosses triangle abc, for broadcastable
+    index arrays into the orientation table ``o``: p and q lie strictly on
+    opposite sides of the triangle's plane, and the line pq passes strictly
+    inside the triangle, its three edges seen from pq with one strict sign."""
+    sp, sq = o[a, b, c, p], o[a, b, c, q]
+    ab, bc, ca = o[p, q, a, b], o[p, q, b, c], o[p, q, c, a]
+    low = np.minimum(np.minimum(ab, bc), ca)
+    high = np.maximum(np.maximum(ab, bc), ca)
+    return ((np.maximum(sp, sq) > tol) & (np.minimum(sp, sq) < -tol)
+            & ((low > tol) | (high < -tol)))
 
 
 def tet_admissible(s: PolyhedralSurface, tets):
@@ -160,47 +173,65 @@ def tet_admissible(s: PolyhedralSurface, tets):
     bool array (C,).  A candidate is admissible when its volume exceeds
     TOL_GEOM * scale**3 and four exact tests hold:
 
-    - none of its edges that is not a surface edge properly crosses a
-      surface face;
-    - no surface edge properly crosses one of its faces;
-    - no surface vertex lies strictly inside it: some corner, replaced by
-      the vertex, leaves no volume of the candidate's sign above
-      TOL_GEOM * scale**3;
-    - its centroid's generalized winding number exceeds 1/2.
+    1. none of its edges that is not a surface edge properly crosses a
+       surface face;
+    2. no surface edge properly crosses one of its faces;
+    3. no surface vertex lies strictly inside it: some corner, replaced by
+       the vertex, leaves no volume of the candidate's sign above
+       TOL_GEOM * scale**3;
+    4. its centroid's generalized winding number exceeds 1/2.
 
     A candidate that reaches outside the closed surface has the surface in
     its interior (a vertex, an edge through one of its faces, or a face one
-    of its edges crosses) or lies outside whole.  Each test runs on the
-    candidates that passed the ones before, the edge and face tests once per
-    distinct edge and face as an ordered index tuple, the winding number on
-    the centroids that are left.
+    of its edges crosses) or lies outside whole.  Tests 1-3 are read off
+    one orientation table of the surface's vertices, every sign against
+    the same 6 * TOL_GEOM * scale**3.  A segment pq properly crosses a
+    triangle abc when O[a, b, c, p] and O[a, b, c, q] have strictly opposite
+    signs and O[p, q, a, b], O[p, q, b, c] and O[p, q, c, a] one strict
+    sign; test 1 decides this once per vertex pair i < j against the
+    surface faces, and test 2 once per vertex triple i < j < k against the
+    surface edges.  The winding number is computed for the centroids of the
+    candidates that pass tests 1-3.
     """
     idx = np.asarray(tets, dtype=int).reshape(-1, 4)
     v = s.vertices
-    tol = geom.TOL_GEOM * geom.coord_scale(v)**3
-    vol = tet_volumes(v[idx])
-    ok = np.abs(vol) > tol
+    n = len(v)
+    tol = 6.0 * geom.TOL_GEOM * geom.coord_scale(v)**3
+    o = _orientations(v)
+    rank = np.arange(n)
+    below = rank[:, None] < rank[None, :]                     # i < j
 
+    # Test 1: each vertex pair against the surface faces, (P, F).
+    fa, fb, fc = np.asarray(s.faces).T
     ends = np.asarray(s.edges)
-    surface_edge = np.zeros((len(v), len(v)), dtype=bool)
-    surface_edge[ends[:, 0], ends[:, 1]] = surface_edge[ends[:, 1], ends[:, 0]] = True
-    live = np.flatnonzero(ok)
-    edges, edge_of = _distinct(idx[live][:, _TET_EDGES], len(v))
-    tested = np.flatnonzero(~surface_edge[edges[:, 0], edges[:, 1]])
-    crossing = np.zeros(len(edges), dtype=bool)
-    crossing[tested] = geom.segments_cross_faces(
-        v[edges[tested, 0]], v[edges[tested, 1]], v[np.asarray(s.faces)]).any(axis=1)
-    ok[live] = ~crossing[edge_of].any(axis=1)
+    pi, pj = np.nonzero(below)
+    pair_crosses = np.zeros((n, n), dtype=bool)
+    pair_crosses[pi, pj] = _proper_crossings(
+        o, pi[:, None], pj[:, None], fa, fb, fc, tol).any(axis=1)
+    pair_crosses[ends[:, 0], ends[:, 1]] = False               # surface edges pass
+    pair_crosses |= pair_crosses.T
 
+    # Test 2: each vertex triple against the surface edges, (T, E).
+    ta, tb, tc = np.nonzero(below[:, :, None] & below[None, :, :])
+    triple_crossed = np.zeros((n, n, n), dtype=bool)
+    triple_crossed[ta, tb, tc] = _proper_crossings(
+        o, ends[:, 0], ends[:, 1], ta[:, None], tb[:, None], tc[:, None], tol).any(axis=1)
+
+    a, b, c, d = idx.T
+    vol = o[a, b, c, d]
+    tet_edges = idx[:, _TET_EDGES]                            # (C, 6, 2)
+    tet_faces = np.sort(idx, axis=1)[:, _TET_FACES]           # (C, 4, 3), sorted
+    ok = ((np.abs(vol) > tol)
+          & ~pair_crosses[tet_edges[..., 0], tet_edges[..., 1]].any(axis=1)
+          & ~triple_crossed[tet_faces[..., 0], tet_faces[..., 1],
+                            tet_faces[..., 2]].any(axis=1))
+
+    # Test 3: a vertex x in place of each corner keeps the candidate's sign.
     live = np.flatnonzero(ok)
-    faces, face_of = _distinct(idx[live][:, _TET_FACES], len(v))
-    tri = v[faces]                                            # (D, 3, 3)
-    crossed = geom.segments_cross_faces(v[ends[:, 0]], v[ends[:, 1]], tri).any(axis=0)
-    normal = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
-    side = np.einsum("dnk,dk->dn", v - tri[:, :1], normal)    # (D, n)
-    swapped = np.sign(vol[live])[:, None, None] * _SWAP_SIGN * side[face_of]
-    inside = (swapped > 6.0 * tol).all(axis=1).any(axis=1)    # (L, 4, n) -> (L,)
-    ok[live] = ~crossed[face_of].any(axis=1) & ~inside
+    a, b, c, d = (k[:, None] for k in idx[live].T)
+    x = rank[None, :]
+    swapped = np.stack([o[x, b, c, d], o[a, x, c, d], o[a, b, x, d], o[a, b, c, x]])
+    ok[live] = ~(np.sign(vol[live, None]) * swapped > tol).all(axis=0).any(axis=1)
 
     live = np.flatnonzero(ok)
     ok[live] = winding_numbers(s, v[idx[live]].mean(axis=1)) > 0.5

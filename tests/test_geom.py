@@ -11,6 +11,7 @@ from rigidity_lab.errors import DegenerateVertexSet, InvalidSurface
 from rigidity_lab.geom import (
     PolyhedralSurface,
     canonical_edge,
+    cross3,
     hull_masks,
     is_weakly_convex,
     surface_validate,
@@ -164,6 +165,19 @@ def test_hull_masks_invariant_under_similarity_and_relabelling(quat, shift,
                 s * p @ rotation.T + np.asarray(shift))
             assert list(got_extreme) == [True] * 8 + [extreme]
             assert got_boundary.all()
+
+
+@pytest.mark.parametrize("shapes", [((3,), (3,)), ((5, 3), (3,)),
+                                    ((3, 1, 3), (8, 3)), ((12, 1, 3), (20, 3)),
+                                    ((138, 1, 3), (92, 3)), ((6, 6, 1, 3), (6, 1, 6, 3))])
+def test_cross3_is_bitwise_np_cross(shapes):
+    # Magnitudes over 16 decades, and exact zeros of both signs.
+    rng = np.random.default_rng(len(shapes[0]) + shapes[0][0])
+    a, b = (rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, shape)
+            * rng.choice([1.0, 1.0, 1.0, 0.0, -0.0], shape) for shape in shapes)
+    got, want = cross3(a, b), np.cross(a, b)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_flat_vertex_set_has_no_hull():

@@ -9,12 +9,13 @@ total angle for every perturbation, high-precision differences of the
 dihedral-angle formula, the scalar exact decomposition filter (one
 candidate against one surface edge, face and vertex at a time), the probe
 filter that the exact test replaced, the per-vertex linear program that
-decided hull extremality before Qhull did, and the region growing that
-oriented faces by comparing directed-edge sets.  The fast paths must give
-the same verdicts and bitwise the same matrices; the exact M_T, which
-replaces a difference quotient by a derivative, must agree to a tolerance,
-and so must the kernel's total angles, whose arccos can round differently
-in the last bit.  The probe filter is unsound, so the exact filter must
+decided hull extremality before Qhull did, the region growing that
+oriented faces by comparing directed-edge sets, and the rigidity matrix
+and trivial motions written edge by edge and with ``np.cross``.  The fast
+paths must give the same verdicts and bitwise the same matrices; the exact
+M_T, which replaces a difference quotient by a derivative, must agree to a
+tolerance, and so must the kernel's total angles, whose arccos can round
+differently in the last bit.  The probe filter is unsound, so the exact filter must
 admit a subset of its candidates, each left-out one with a certificate
 that it reaches outside.
 """
@@ -31,6 +32,7 @@ import pytest
 from scipy.optimize import linprog
 from scipy.spatial import ConvexHull
 
+from rigidity_lab import deformation
 from rigidity_lab import generators as gen
 from rigidity_lab import hilbert_einstein as he
 from rigidity_lab import geom
@@ -453,6 +455,25 @@ def region_growing_orient(faces):
     return oriented
 
 
+def loop_rigidity_matrix(s) -> np.ndarray:
+    """The rigidity matrix written edge by edge: two 3-blocks per row."""
+    p = s.vertices
+    r = np.zeros((len(s.edges), 3 * len(p)))
+    for row, (i, j) in enumerate(s.edges):
+        d = p[i] - p[j]
+        r[row, 3 * i:3 * i + 3] = d
+        r[row, 3 * j:3 * j + 3] = -d
+    return r
+
+
+def cross_trivial_motions(s) -> np.ndarray:
+    """The three translations and the rotation fields e_axis x p, each
+    rotation by ``np.cross`` against a unit axis."""
+    p = s.vertices
+    return np.array([np.tile(e, len(p)) for e in np.eye(3)]
+                    + [np.cross(e, p).ravel() for e in np.eye(3)])
+
+
 # -- inputs ---------------------------------------------------------------
 
 def _sphere_points(rng, n):
@@ -694,6 +715,26 @@ def test_stacked_filter_matches_scalar_filter_on_unsorted_stacks(name):
         assert (probe_only > 0) == (name == "pushed-pair"), (name, k)
 
 
+@pytest.mark.parametrize("n", range(6, 17))
+def test_stacked_filter_matches_scalar_filter_on_star_surfaces(n, star_surface):
+    # Seeds 0-7 at n vertices.  The scalar filter costs about 0.5 ms a
+    # candidate, so it decides a seeded sample of at most 12 candidates the
+    # stacked filter admits and 12 it rejects on each surface.
+    rng = np.random.default_rng(n)
+    sampled = Counter()
+    for seed in range(8):
+        s = star_surface(seed, n)
+        subsets = np.array(list(combinations(range(n), 4)))
+        exact = tet_admissible(s, subsets)
+        crosses = _memo_crossing(s)
+        for kept in (True, False):
+            for k in rng.permutation(np.flatnonzero(exact == kept))[:12]:
+                tet = tuple(int(i) for i in subsets[k])
+                assert scalar_exact_admissible(s, tet, crosses) == kept, (seed, tet)
+                sampled[kept] += 1
+    assert min(sampled.values()) >= 8
+
+
 # -- local finite differences ---------------------------------------------
 
 @pytest.mark.parametrize("scheme", [FDScheme(SchemeKind.CENTRAL, 1e-6),
@@ -916,3 +957,19 @@ def test_orientation_matches_region_growing():
             continue
         assert geom._orient_consistently(faces) == expected, faces
     assert 0 < raised < len(lists)
+
+
+# -- rigidity matrix -------------------------------------------------------
+
+def test_rigidity_matrix_and_trivial_motions_match_references(star_surface):
+    surfaces = [gen.octahedron(), gen.cube_with_flat_vertex(),
+                gen.schonhardt(gen.SchonhardtParams(math.pi / 6, 1.0, 2.0)),
+                *gen.pushed_vertex_pair(1.4), _tpoly(0.3)]
+    surfaces += [star_surface(seed, 6 + 2 * seed) for seed in range(6)]
+    for s in surfaces:
+        r = deformation.rigidity_matrix(s)
+        assert r.edges == sorted({geom.canonical_edge(f[k], f[(k + 1) % 3])
+                                  for f in s.faces for k in range(3)})
+        assert np.array_equal(r.matrix, loop_rigidity_matrix(s))
+        assert np.array_equal(deformation.trivial_motions(s),
+                              cross_trivial_motions(s))

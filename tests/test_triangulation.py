@@ -187,6 +187,45 @@ def test_admitted_tetrahedra_lie_inside_star_surfaces(star_surface):
     assert admitted > 1000
 
 
+def _tpoly(shift):
+    surface, _ = gen.t_polyhedron(gen.TPolyParams(
+        gen.SchonhardtParams(math.pi / 6, 1.0, 2.0),
+        gen.SchonhardtParams(math.pi / 6, 2.5, 4.0), vertical_shift=shift))
+    return surface
+
+
+def _relabelled(s, perm):
+    """The surface with vertex i renamed perm[i]."""
+    v = np.empty_like(s.vertices)
+    v[perm] = s.vertices
+    return PolyhedralSurface(v, [tuple(int(perm[i]) for i in f) for f in s.faces])
+
+
+_RELABEL_SURFACES = {
+    "pushed-pair": lambda: gen.pushed_vertex_pair(1.4)[1],
+    "t-poly-0.3": lambda: _tpoly(0.3),
+    "t-poly-0.7": lambda: _tpoly(0.7),
+    "cube-with-flat-vertex": gen.cube_with_flat_vertex,
+}
+
+
+@pytest.mark.parametrize("name", [*_RELABEL_SURFACES, "star"])
+def test_tet_admissible_permutes_with_vertex_labels(name, star_surface):
+    # Renaming the vertices renames the candidates and keeps each decision.
+    rng = np.random.default_rng(11)
+    surfaces = ([star_surface(seed, 8 + seed) for seed in range(8)] if name == "star"
+                else [_RELABEL_SURFACES[name]()])
+    for s in surfaces:
+        n = len(s.vertices)
+        subsets = np.array(list(combinations(range(n), 4)))
+        mask = tet_admissible(s, subsets)
+        assert 0 < mask.sum() < len(mask)
+        for _ in range(3):
+            perm = rng.permutation(n)
+            assert np.array_equal(tet_admissible(_relabelled(s, perm), perm[subsets]),
+                                  mask)
+
+
 def test_tet_volume_unit():
     pts = [np.zeros(3), np.eye(3)[0], np.eye(3)[1], np.eye(3)[2]]
     assert tet_volume(pts) == pytest.approx(1.0 / 6.0, abs=1e-15)
