@@ -128,9 +128,13 @@ def read_document(text: str):
         if not isinstance(labels, dict):
             raise ParseError("labels must be an object")
         try:
-            labels = {int(k): str(v) for k, v in labels.items()}
+            keys = [int(k) for k in labels]
         except ValueError as exc:
             raise ParseError(f"label keys must be integers: {exc}") from exc
+        # int() also takes " 2 ", "02" and "-0", which would merge silently.
+        if any(str(i) != k for i, k in zip(keys, labels)):
+            raise ParseError("label keys must be integers in canonical form")
+        labels = {i: str(v) for i, v in zip(keys, labels.values())}
         if any(not 0 <= k < n_pts for k in labels):
             raise ParseError("label index out of range")
     s = PolyhedralSurface(vertices, faces)

@@ -108,13 +108,6 @@ def overhang(r: float, omega: float) -> float:
     return r * (math.cos(omega / 2.0) - math.cos(math.pi / 6.0))
 
 
-def chord_distance(r: float, omega: float) -> float:
-    """In-plane chord between a point and its omega-rotation on a radius-r circle."""
-    if r <= 0:
-        raise BadParams(f"r must be positive; got {r}")
-    return 2.0 * r * math.sin(omega / 2.0)
-
-
 # -- fixed classical solids -------------------------------------------------
 
 def octahedron() -> PolyhedralSurface:

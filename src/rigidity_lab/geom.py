@@ -11,6 +11,8 @@ vertices, and one of the others for each vertex of that hull.
 Every degeneracy and boundary tolerance is TOL_GEOM times ``coord_scale``
 (the largest distance of a point from the points' mean) to the quantity's
 length dimension, so no decision depends on where the input sits or its size.
+Validation and the decomposition filter decide "a segment properly crosses
+a triangle" alike: ``proper_crossings``, a sign pattern of ``orientations``.
 """
 
 from __future__ import annotations
@@ -130,8 +132,6 @@ class PolyhedralSurface:
             except InvalidSurface:
                 pass  # leave as given; surface_validate will report it
         self.faces = faces
-        self._report: ValidityReport | None = None
-        self._hull_masks: tuple[np.ndarray, np.ndarray] | None = None
 
     @cached_property
     def edges(self) -> list[tuple[int, int]]:
@@ -140,28 +140,30 @@ class PolyhedralSurface:
         es = {canonical_edge(f[k], f[(k + 1) % 3]) for f in self.faces for k in range(3)}
         return sorted(es)
 
+    @cached_property
     def _masks(self) -> tuple[np.ndarray, np.ndarray]:
         """``hull_masks`` of the vertices, computed once per surface; the
         cached arrays are read-only."""
-        if self._hull_masks is None:
-            self._hull_masks = hull_masks(self.vertices)
-            for mask in self._hull_masks:
-                mask.setflags(write=False)
-        return self._hull_masks
+        masks = hull_masks(self.vertices)
+        for mask in masks:
+            mask.setflags(write=False)
+        return masks
 
     def extreme_mask(self) -> np.ndarray:
         """True where a vertex is an extreme point of the vertices' hull."""
-        return self._masks()[0]
+        return self._masks[0]
 
     def flat_mask(self) -> np.ndarray:
         """True where a vertex lies on the hull boundary without being
         extreme."""
-        extreme, boundary = self._masks()
+        extreme, boundary = self._masks
         return boundary & ~extreme
 
+    @cached_property
+    def _report(self) -> ValidityReport:
+        return surface_validate(self)
+
     def validate(self) -> ValidityReport:
-        if self._report is None:
-            self._report = surface_validate(self)
         return self._report
 
     def require_valid(self):
@@ -244,13 +246,23 @@ def surface_validate(s: PolyhedralSurface) -> ValidityReport:
     vol = _signed_volume(v, s.faces)
     if abs(vol) <= TOL_GEOM * scale**3:
         rep.add("degenerate-volume", f"signed volume {vol:.3g} is ~zero")
-    # Embedding: no edge properly crosses a face it shares no vertex with.
+    # Embedding: no edge properly crosses a face.  Edge end p is on side
+    # O[a, b, c, p] = ((b - a) x (c - a)) . (p - a) of face abc, which is 0
+    # if p is a vertex of abc, so pairs that share a vertex never cross.
     # Contacts at a shared vertex and coplanar overlaps are not tested.
     edges = np.array(s.edges)
     faces = np.array(s.faces)
-    shared = (edges[:, None, :, None] == faces[None, :, None, :]).any(axis=(2, 3))
-    cross = segments_cross_faces(v[edges[:, 0]], v[edges[:, 1]], v[faces])
-    for ei, fi in zip(*np.nonzero(cross & ~shared)):
+    centred = v - v.mean(axis=0)
+    tri = centred[faces]
+    normals = cross3(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
+    side = centred @ normals.T                              # (n, F)
+    side -= side[faces[:, 0], np.arange(len(faces))]
+    rims = faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)      # ab, bc, ca
+    ab, bc, ca = (orientations(v, edges, rims)
+                  .reshape(len(edges), len(faces), 3).transpose(2, 0, 1))
+    cross = proper_crossings(side[edges[:, 0]], side[edges[:, 1]], ab, bc, ca,
+                             6.0 * TOL_GEOM * scale**3)
+    for ei, fi in zip(*np.nonzero(cross)):
         e = tuple(int(i) for i in edges[ei])
         rep.add("self-intersection", f"edge {e} crosses face {s.faces[fi]}", e)
     return rep
@@ -273,37 +285,32 @@ def cross3(a, b) -> np.ndarray:
     return out
 
 
-def segments_cross_faces(p0, p1, tri) -> np.ndarray:
-    """(K, 3) segments against (F, 3, 3) triangles -> (K, F) bool: True
-    where the interior of the segment properly crosses the interior of the
-    triangle, each barycentric coordinate clearing 1e-9.
+def orientations(v, first, second) -> np.ndarray:
+    """The (P, Q) orientations O[ij, kl] = det(v_j - v_i, v_k - v_i,
+    v_l - v_i), six times the signed volume of the tetrahedron (i, j, k, l),
+    of the points ``v`` (n, 3) for index pairs ``first`` (P, 2) against
+    ``second`` (Q, 2).  With line coordinates d_ij = v_j - v_i and
+    m_ij = v_i x v_j on the points centred at their mean,
+    O[ij, kl] = d_ij . m_kl + d_kl . m_ij: one (P, 6) by (6, Q) product."""
+    c = v - v.mean(axis=0)
+    ends = np.concatenate([first, second])
+    u, w = c[ends[:, 0]], c[ends[:, 1]]
+    lines = np.concatenate([w - u, cross3(u, w)], axis=1)
+    return lines[:len(first)] @ lines[len(first):, [3, 4, 5, 0, 1, 2]].T
 
-    Moeller-Trumbore in barycentric form, for all pairs in one pass; a
-    segment parallel to a triangle's plane never crosses it.  Parallel means
-    |det| <= 1e-12 |d| |e1 x e2|, the sine of the angle between them below
-    1e-12, so the test does not depend on where the points sit or on their
-    scale.
-    """
-    tol = 1e-9
-    a = tri[:, 0]
-    e1, e2 = tri[:, 1] - a, tri[:, 2] - a
-    d = (p1 - p0)[:, None, :]                      # (K, 1, 3)
-    h = cross3(d, e2)                              # (K, F, 3)
-    det = np.sum(e1 * h, axis=-1)
-    crossing = np.abs(det) > 1e-12 * (np.linalg.norm(d, axis=-1)
-                                      * np.linalg.norm(cross3(e1, e2), axis=-1))
-    sv = p0[:, None, :] - a
-    q = cross3(sv, e1)
-    # Parallel pairs divide by zero, or overflow where det is subnormal;
-    # the mask discards their quotients.
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        inv = 1.0 / det
-        u = inv * np.sum(sv * h, axis=-1)
-        v = inv * np.sum(d * q, axis=-1)
-        t = inv * np.sum(e2 * q, axis=-1)
-        return (crossing & (u > tol) & (u < 1 - tol)
-                & (v > tol) & (v < 1 - tol) & (u + v < 1 - tol)
-                & (t > tol) & (t < 1 - tol))
+
+def proper_crossings(sp, sq, ab, bc, ca, tol) -> np.ndarray:
+    """Whether a segment pq properly crosses a triangle abc, from
+    broadcastable arrays of orientations: sp = O[a, b, c, p] and
+    sq = O[a, b, c, q] put p and q strictly on opposite sides of the
+    triangle's plane, and ab = O[p, q, a, b], bc = O[p, q, b, c] and
+    ca = O[p, q, c, a] have one strict sign, so the line pq passes strictly
+    inside the triangle.  Strictly means beyond ``tol``; a segment and a
+    triangle that share a vertex have a zero orientation, so never cross."""
+    low = np.minimum(np.minimum(ab, bc), ca)
+    high = np.maximum(np.maximum(ab, bc), ca)
+    return ((np.maximum(sp, sq) > tol) & (np.minimum(sp, sq) < -tol)
+            & ((low > tol) | (high < -tol)))
 
 
 def volume(s: PolyhedralSurface) -> float:

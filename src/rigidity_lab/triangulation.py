@@ -11,13 +11,14 @@ validated triangulation, certifies non-decomposability, or gives up on a
 node budget.  Its candidate filter ``tet_admissible`` is exact: it keeps a
 candidate when no surface edge, face or vertex reaches into it and its
 centroid is inside, reading every crossing and volume sign off one table of
-the orientations of all vertex quadruples.
+the orientations of all vertex quadruples, with the crossing predicate of
+``surface_validate``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
@@ -35,7 +36,6 @@ class Triangulation:
     surface: PolyhedralSurface
     tetrahedra: list[tuple[int, int, int, int]]
     points: np.ndarray | None = None  # defaults to the surface vertices
-    _report: ValidityReport | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.points is None:
@@ -56,9 +56,11 @@ class Triangulation:
     def boundary_edges(self) -> list[tuple[int, int]]:
         return self.surface.edges
 
+    @cached_property
+    def _report(self) -> ValidityReport:
+        return tri_validate(self)
+
     def validate(self) -> ValidityReport:
-        if self._report is None:
-            self._report = tri_validate(self)
         return self._report
 
     def require_valid(self):
@@ -143,27 +145,11 @@ _TET_FACES = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
 
 # -- decomposition search --------------------------------------------------
 
-def _orientations(v) -> np.ndarray:
-    """The orientation table of the points ``v`` (n, 3): the (n, n, n, n)
-    array O[i, j, k, l] = det(v_j - v_i, v_k - v_i, v_l - v_i), six times
-    the signed volume of the tetrahedron (i, j, k, l)."""
-    n = len(v)
-    d = v[None, :, :] - v[:, None, :]                          # d[i, j] = v_j - v_i
-    c = geom.cross3(d[:, :, None, :], d[:, None, :, :])        # d[i, k] x d[i, l]
-    return np.matmul(d, c.reshape(n, n * n, 3).transpose(0, 2, 1)).reshape(n, n, n, n)
-
-
-def _proper_crossings(o, p, q, a, b, c, tol) -> np.ndarray:
-    """Whether segment pq properly crosses triangle abc, for broadcastable
-    index arrays into the orientation table ``o``: p and q lie strictly on
-    opposite sides of the triangle's plane, and the line pq passes strictly
-    inside the triangle, its three edges seen from pq with one strict sign."""
-    sp, sq = o[a, b, c, p], o[a, b, c, q]
-    ab, bc, ca = o[p, q, a, b], o[p, q, b, c], o[p, q, c, a]
-    low = np.minimum(np.minimum(ab, bc), ca)
-    high = np.maximum(np.maximum(ab, bc), ca)
-    return ((np.maximum(sp, sq) > tol) & (np.minimum(sp, sq) < -tol)
-            & ((low > tol) | (high < -tol)))
+def _crossings(o, p, q, a, b, c, tol) -> np.ndarray:
+    """``geom.proper_crossings`` of segments pq and triangles abc, for
+    broadcastable index arrays into the orientation table ``o``."""
+    return geom.proper_crossings(o[a, b, c, p], o[a, b, c, q], o[p, q, a, b],
+                                 o[p, q, b, c], o[p, q, c, a], tol)
 
 
 def tet_admissible(s: PolyhedralSurface, tets):
@@ -184,21 +170,23 @@ def tet_admissible(s: PolyhedralSurface, tets):
     A candidate that reaches outside the closed surface has the surface in
     its interior (a vertex, an edge through one of its faces, or a face one
     of its edges crosses) or lies outside whole.  Tests 1-3 are read off
-    one orientation table of the surface's vertices, every sign against
-    the same 6 * TOL_GEOM * scale**3.  A segment pq properly crosses a
-    triangle abc when O[a, b, c, p] and O[a, b, c, q] have strictly opposite
-    signs and O[p, q, a, b], O[p, q, b, c] and O[p, q, c, a] one strict
-    sign; test 1 decides this once per vertex pair i < j against the
-    surface faces, and test 2 once per vertex triple i < j < k against the
-    surface edges.  The winding number is computed for the centroids of the
-    candidates that pass tests 1-3.
+    one (n, n, n, n) table O of the orientations of the surface's vertex
+    quadruples, ``geom.orientations`` of every vertex pair against every
+    other, and every sign is compared against the same
+    6 * TOL_GEOM * scale**3.  Crossings are ``geom.proper_crossings``, the
+    predicate ``surface_validate`` decides self-intersection by: test 1
+    decides them once per vertex pair i < j against the surface faces, and
+    test 2 once per vertex triple i < j < k against the surface edges.  The
+    winding number is computed for the centroids of the candidates that
+    pass tests 1-3.
     """
     idx = np.asarray(tets, dtype=int).reshape(-1, 4)
     v = s.vertices
     n = len(v)
     tol = 6.0 * geom.TOL_GEOM * geom.coord_scale(v)**3
-    o = _orientations(v)
     rank = np.arange(n)
+    pairs = np.indices((n, n)).reshape(2, -1).T                # every (i, j)
+    o = geom.orientations(v, pairs, pairs).reshape(n, n, n, n)
     below = rank[:, None] < rank[None, :]                     # i < j
 
     # Test 1: each vertex pair against the surface faces, (P, F).
@@ -206,16 +194,16 @@ def tet_admissible(s: PolyhedralSurface, tets):
     ends = np.asarray(s.edges)
     pi, pj = np.nonzero(below)
     pair_crosses = np.zeros((n, n), dtype=bool)
-    pair_crosses[pi, pj] = _proper_crossings(
-        o, pi[:, None], pj[:, None], fa, fb, fc, tol).any(axis=1)
+    pair_crosses[pi, pj] = _crossings(o, pi[:, None], pj[:, None],
+                                      fa, fb, fc, tol).any(axis=1)
     pair_crosses[ends[:, 0], ends[:, 1]] = False               # surface edges pass
     pair_crosses |= pair_crosses.T
 
     # Test 2: each vertex triple against the surface edges, (T, E).
     ta, tb, tc = np.nonzero(below[:, :, None] & below[None, :, :])
     triple_crossed = np.zeros((n, n, n), dtype=bool)
-    triple_crossed[ta, tb, tc] = _proper_crossings(
-        o, ends[:, 0], ends[:, 1], ta[:, None], tb[:, None], tc[:, None], tol).any(axis=1)
+    triple_crossed[ta, tb, tc] = _crossings(o, ends[:, 0], ends[:, 1], ta[:, None],
+                                            tb[:, None], tc[:, None], tol).any(axis=1)
 
     a, b, c, d = idx.T
     vol = o[a, b, c, d]

@@ -315,13 +315,19 @@ _TETRA = {"schema": "rigidity-lab/1",
     {"vertices": [[10**400, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]},
     {"labels": {"x": "apex"}},
     {"labels": {"1.5": "apex"}},
+    {"labels": {"1": "a", "01": "b"}},
+    {"labels": {" 2 ": "apex"}},
+    {"labels": {"-0": "apex"}},
+    {"labels": {"+1": "apex"}},
     {"faces": [1, 2, 3]},
     {"faces": [[0, 2, 1], [0, 1, 3], [0, 3, 2], [1, 2, True]]},
     {"triangulation": [0, 1, 2, 3]},
     {"points": [[0, 0]]},
     {"points": _TETRA["vertices"] + [[0.25, 0.25, 0.25]]},
 ], ids=["string-coordinate", "nan-coordinate", "huge-coordinate",
-        "label-key", "fractional-label-key", "flat-faces", "boolean-index",
+        "label-key", "fractional-label-key", "leading-zero-label-key",
+        "padded-label-key", "negative-zero-label-key", "plus-label-key",
+        "flat-faces", "boolean-index",
         "flat-triangulation", "short-point", "points-without-triangulation"])
 def test_analyze_malformed_document_is_parse_error(tmp_path, capsys, change):
     path = tmp_path / "doc.json"

@@ -68,11 +68,6 @@ def test_overhang_range():
         assert -1e-12 <= m <= 0.134
 
 
-def test_chord_distance():
-    assert gen.chord_distance(1.0, PI) == pytest.approx(2.0, abs=1e-12)
-    assert gen.chord_distance(2.0, PI / 3.0) == pytest.approx(2.0, abs=1e-12)
-
-
 def test_fixed_solids_are_valid():
     for s in (gen.octahedron(), gen.cube_with_flat_vertex()):
         assert surface_validate(s).ok

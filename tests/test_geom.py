@@ -11,9 +11,11 @@ from rigidity_lab.errors import DegenerateVertexSet, InvalidSurface
 from rigidity_lab.geom import (
     PolyhedralSurface,
     canonical_edge,
+    coord_scale,
     cross3,
     hull_masks,
     is_weakly_convex,
+    orientations,
     surface_validate,
     volume,
 )
@@ -185,6 +187,26 @@ def test_flat_vertex_set_has_no_hull():
                      [1.0, 1.0, 0.0]])
     with pytest.raises(DegenerateVertexSet):
         hull_masks(flat)
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+def test_orientations_match_determinants_far_from_the_origin(scale):
+    # Points 1e6 * scale from the origin: the line coordinates are taken on
+    # the points centred at their mean, so only rounding of order
+    # 1e-16 * scale**3 remains.  Differences of the stored points are
+    # exact to rounding, so the determinants are the reference.
+    rng = np.random.default_rng(3)
+    n = 7
+    v = scale * (rng.standard_normal((n, 3)) + 1e6 * Rotation.random(
+        random_state=4).apply([1.0, 0.0, 0.0]))
+    pairs = np.indices((n, n)).reshape(2, -1).T
+    o = orientations(v, pairs, pairs).reshape(n, n, n, n)
+    d = v[None, :, :] - v[:, None, :]                     # d[i, j] = v_j - v_i
+    i, j, k, l = np.indices((n,) * 4)
+    det = np.linalg.det(np.stack([d[i, j], d[i, k], d[i, l]], axis=-2))
+    bound = 1e-12 * coord_scale(v)**3
+    assert np.max(np.abs(o - det)) <= bound
+    assert np.max(np.abs(det)) > 1e9 * bound
 
 
 def test_crossing_octahedron_is_reported():

@@ -6,18 +6,19 @@ face-count validation that the boundary-chain certificate replaced, the
 per-tetrahedron sum of scalar dihedral angles that total angles came from
 before the stacked kernel, a finite-difference M_T that recomputes every
 total angle for every perturbation, high-precision differences of the
-dihedral-angle formula, the scalar exact decomposition filter (one
-candidate against one surface edge, face and vertex at a time), the probe
-filter that the exact test replaced, the per-vertex linear program that
-decided hull extremality before Qhull did, the region growing that
-oriented faces by comparing directed-edge sets, and the rigidity matrix
-and trivial motions written edge by edge and with ``np.cross``.  The fast
-paths must give the same verdicts and bitwise the same matrices; the exact
-M_T, which replaces a difference quotient by a derivative, must agree to a
-tolerance, and so must the kernel's total angles, whose arccos can round
-differently in the last bit.  The probe filter is unsound, so the exact filter must
-admit a subset of its candidates, each left-out one with a certificate
-that it reaches outside.
+dihedral-angle formula, the scalar Moeller-Trumbore crossing test that
+self-intersection pairs are checked against, the scalar exact
+decomposition filter (one candidate against one surface edge, face and
+vertex at a time), the probe filter that the exact test replaced, the
+per-vertex linear program that decided hull extremality before Qhull did,
+the region growing that oriented faces by comparing directed-edge sets,
+and the rigidity matrix and trivial motions written edge by edge and with
+``np.cross``.  The fast paths must give the same verdicts and bitwise the
+same matrices; the exact M_T, which replaces a difference quotient by a
+derivative, must agree to a tolerance, and so must the kernel's total
+angles, whose arccos can round differently in the last bit.  The probe
+filter is unsound, so the exact filter must admit a subset of its
+candidates, each left-out one with a certificate that it reaches outside.
 """
 
 import functools
@@ -45,7 +46,7 @@ from rigidity_lab.cayley_menger import (
 )
 from rigidity_lab.cli import analyze_surface
 from rigidity_lab.errors import InvalidSurface, NonPositiveLength, OutOfDomain
-from rigidity_lab.geom import PolyhedralSurface
+from rigidity_lab.geom import PolyhedralSurface, surface_validate
 from rigidity_lab.stiffness import (
     DEFAULT_SCHEME,
     PAPER_SCHEME,
@@ -356,12 +357,13 @@ def per_candidate_probe_points(pts):
                           axis=1)
 
 
-def per_candidate_tet_admissible(s, tets):
+def per_candidate_tet_admissible(s, tets, crosses):
     """The probe filter that the exact test replaced: the centroid strictly
     inside, none of the 46 edge and face probe points outside, and no edge
     that is not a surface edge crossing a surface face.  It classifies all
-    47 probe points and tests every such edge of every candidate, shared or
-    not, and admits some tetrahedra that reach outside."""
+    47 probe points and tests every such edge of every candidate, and admits
+    some tetrahedra that reach outside.  ``crosses`` is
+    ``_memo_crossing(s)``."""
     idx = np.asarray(tets, dtype=int).reshape(-1, 4)
     v = s.vertices
     pts = v[idx]
@@ -377,8 +379,9 @@ def per_candidate_tet_admissible(s, tets):
     tail = idx[live][:, [i for i, _ in _TET_EDGES]]
     head = idx[live][:, [j for _, j in _TET_EDGES]]
     owner, edge = np.nonzero(~surface_edge[tail, head])
-    crossing = geom.segments_cross_faces(v[tail[owner, edge]], v[head[owner, edge]],
-                                         v[np.asarray(s.faces)]).any(axis=1)
+    crossing = np.array([any(crosses(int(i), int(j), *f) for f in s.faces)
+                         for i, j in zip(tail[owner, edge], head[owner, edge])],
+                        dtype=bool)
     ok[live[owner[crossing]]] = False
     return ok
 
@@ -660,7 +663,7 @@ def _check_exact_filter(s, stack, rng):
     crosses = _memo_crossing(s)
     assert np.array_equal(exact, [scalar_exact_admissible(s, tet, crosses)
                                   for tet in stack])
-    probe = per_candidate_tet_admissible(s, stack)
+    probe = per_candidate_tet_admissible(s, stack, crosses)
     assert not np.any(exact & ~probe)
     for tet in stack[probe & ~exact]:
         assert _reaches_outside(s, tet, rng), tet
@@ -733,6 +736,68 @@ def test_stacked_filter_matches_scalar_filter_on_star_surfaces(n, star_surface):
                 assert scalar_exact_admissible(s, tet, crosses) == kept, (seed, tet)
                 sampled[kept] += 1
     assert min(sampled.values()) >= 8
+
+
+def _noisy_surfaces(star_surface):
+    """Seeded octahedra and star surfaces with Gaussian noise on every
+    vertex, many of them self-intersecting."""
+    rng = np.random.default_rng(41)
+    octa = gen.octahedron()
+    for sigma in (0.3, 0.6, 0.9) * 16:
+        yield PolyhedralSurface(octa.vertices + rng.normal(0, sigma, (6, 3)),
+                                octa.faces)
+    for seed in range(36):
+        base = star_surface(100 + seed, (8, 12, 16)[seed % 3])
+        sigma = (0.2, 0.35, 0.5)[seed % 3]
+        yield PolyhedralSurface(
+            base.vertices + rng.normal(0, sigma, base.vertices.shape), base.faces)
+
+
+def _similar_copies(s, rng):
+    """The surface, then copies rotated, shifted by up to 100, scaled by
+    1e-3, 1 and 1e3 and relabelled; each with its vertex permutation."""
+    n = len(s.vertices)
+    yield s, np.arange(n)
+    for scale in (1e-3, 1.0, 1e3):
+        perm = rng.permutation(n)                 # new label -> old label
+        label = np.argsort(perm)                  # old label -> new label
+        moved = scale * (s.vertices @ _rotation(int(rng.integers(1000))).T
+                         + rng.uniform(-100, 100, 3))
+        yield PolyhedralSurface(moved[perm], [tuple(int(label[i]) for i in f)
+                                              for f in s.faces]), perm
+
+
+def _scalar_self_intersections(s):
+    """The (edge, face) pairs that share no vertex and cross by the scalar
+    Moeller-Trumbore test, in the report's order: edges as ``s.edges``,
+    faces as ``s.faces``."""
+    crosses = _memo_crossing(s)
+    return [(e, f) for e in s.edges for f in s.faces
+            if not set(e) & set(f) and crosses(*e, *f)]
+
+
+def test_self_intersection_pairs_match_scalar_crossings(star_surface):
+    rng = np.random.default_rng(43)
+    crossing_surfaces = 0
+    for s in _noisy_surfaces(star_surface):
+        seen = []
+        for copy, perm in _similar_copies(s, rng):
+            report = surface_validate(copy)
+            # The embedding check runs after every other check but this one.
+            assert {x.tag for x in report.violations} <= {"self-intersection",
+                                                          "degenerate-volume"}
+            named = {f"edge {e} crosses face {f}": (e, f)
+                     for e in copy.edges for f in copy.faces}
+            found = [named[x.detail] for x in report.violations
+                     if x.tag == "self-intersection"]
+            assert not any(set(e) & set(f) for e, f in found)
+            pairs = _scalar_self_intersections(copy)
+            assert found == pairs
+            seen.append({(frozenset(perm[list(e)]), frozenset(perm[list(f)]))
+                         for e, f in pairs})
+        assert all(moved == seen[0] for moved in seen)
+        crossing_surfaces += bool(seen[0])
+    assert crossing_surfaces >= 40
 
 
 # -- local finite differences ---------------------------------------------
