@@ -134,7 +134,9 @@ def read_document(text: str):
         # int() also takes " 2 ", "02" and "-0", which would merge silently.
         if any(str(i) != k for i, k in zip(keys, labels)):
             raise ParseError("label keys must be integers in canonical form")
-        labels = {i: str(v) for i, v in zip(keys, labels.values())}
+        if not all(isinstance(v, str) for v in labels.values()):
+            raise ParseError("label values must be strings")
+        labels = dict(zip(keys, labels.values()))
         if any(not 0 <= k < n_pts for k in labels):
             raise ParseError("label index out of range")
     s = PolyhedralSurface(vertices, faces)

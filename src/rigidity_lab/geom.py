@@ -1,12 +1,15 @@
 """3D primitives, the triangulated-surface data model, and global predicates.
 
 Vertices are plain ``(n, 3)`` float arrays.  Surfaces are sphere-topology
-triangle meshes with outward-oriented faces; every surface is oriented once,
-at construction: each face is kept or flipped so that neighbours run their
-shared edge opposite ways, then all are flipped if the signed volume comes
-out negative.  Weak convexity (every vertex extreme) and flatness (on the
-hull boundary, not extreme) are read off Qhull convex hulls: one of all the
-vertices, and one of the others for each vertex of that hull.
+triangle meshes with outward-oriented faces, oriented once, at construction:
+each face is kept or flipped so that neighbours run their shared edge
+opposite ways, then all are flipped if the signed volume is negative.  The
+constructor computes each face's normal n = (b - a) x (c - a) once, on the
+vertices centred at their mean; the face areas |n| / 2, the signed volume
+sum(a . n) / 6 and validation's plane sides all come from these normals.
+Weak convexity (every vertex extreme) and flatness (on the hull boundary,
+not extreme) are read off Qhull convex hulls: one of all the vertices, and
+one of the others for each vertex of that hull.
 
 Every degeneracy and boundary tolerance is TOL_GEOM times ``coord_scale``
 (the largest distance of a point from the points' mean) to the quantity's
@@ -117,28 +120,44 @@ def _orient_consistently(faces: list[tuple[int, int, int]]):
 
 
 class PolyhedralSurface:
-    """Closed triangle mesh: vertex coordinates plus oriented face triples."""
+    """Closed triangle mesh: vertex coordinates, oriented face triples and
+    their centred ``normals`` (None unless every face indexes 3 vertices)."""
 
     def __init__(self, vertices, faces):
-        self.vertices = np.asarray(vertices, dtype=float)
+        self.vertices = v = np.asarray(vertices, dtype=float)
         faces = [tuple(int(i) for i in f) for f in faces]
-        n = len(self.vertices)
-        if faces and all(len(f) == 3 and all(0 <= i < n for i in f)
-                         for f in faces):
+        self.normals = None
+        if faces and v.shape[1:] == (3,) and all(
+                len(f) == 3 and all(0 <= i < len(v) for i in f) for f in faces):
             try:
-                faces = _orient_consistently(faces)
-                if _signed_volume(self.vertices, faces) < 0:
-                    faces = [(a, c, b) for a, b, c in faces]
+                faces, oriented = _orient_consistently(faces), True
             except InvalidSurface:
-                pass  # leave as given; surface_validate will report it
+                oriented = False  # leave as given; surface_validate reports it
+            # Validation rejects non-finite and huge coordinates later.
+            with np.errstate(over="ignore", invalid="ignore"):
+                tri = (v - v.mean(axis=0))[np.array(faces)]
+                self.normals = cross3(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
+                self._volume = float(np.sum(tri[:, 0] * self.normals)) / 6.0
+            # Swapping a face's last two corners negates its cross3 exactly.
+            if oriented and self._volume < 0:
+                faces = [(a, c, b) for a, b, c in faces]
+                self.normals, self._volume = -self.normals, -self._volume
         self.faces = faces
+
+    @cached_property
+    def scale(self) -> float:
+        """``coord_scale`` of the vertices; read only once they are finite."""
+        return coord_scale(self.vertices)
+
+    @cached_property
+    def _runs(self):
+        return _edge_runs(self.faces)
 
     @cached_property
     def edges(self) -> list[tuple[int, int]]:
         """Canonical (i<j) edge pairs, sorted lexicographically; computed
         once per surface, so every access returns the same list."""
-        es = {canonical_edge(f[k], f[(k + 1) % 3]) for f in self.faces for k in range(3)}
-        return sorted(es)
+        return sorted(self._runs)
 
     @cached_property
     def _masks(self) -> tuple[np.ndarray, np.ndarray]:
@@ -172,16 +191,6 @@ class PolyhedralSurface:
             raise InvalidSurface(f"invalid surface: {rep}", report=rep)
 
 
-def _signed_volume(vertices, faces) -> float:
-    v = np.asarray(vertices, dtype=float)
-    tri = v[np.asarray(faces, dtype=int).reshape(-1, 3)]
-    # A subnormal coordinate can flush an LU pivot to zero: det then flags a
-    # division by zero and returns 0.0, right to the coordinates' precision.
-    # Coordinates beyond MAX_COORD can overflow it; validation rejects them.
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        return float(np.sum(np.linalg.det(tri))) / 6.0
-
-
 def surface_validate(s: PolyhedralSurface) -> ValidityReport:
     """Check all surface invariants; every violation becomes a report entry."""
     rep = ValidityReport()
@@ -200,7 +209,7 @@ def surface_validate(s: PolyhedralSurface) -> ValidityReport:
         rep.add("coordinate-range",
                 f"max |coordinate| {largest:.3g} exceeds {MAX_COORD:g}")
         return rep
-    scale = coord_scale(v)
+    scale = s.scale
     found = {}  # face position -> (tag, detail)
     for fi, f in enumerate(s.faces):
         if len(f) != 3:
@@ -211,9 +220,10 @@ def surface_validate(s: PolyhedralSurface) -> ValidityReport:
             found[fi] = ("repeated-vertex", f"face {f} repeats a vertex")
     formed = [fi for fi in range(len(s.faces)) if fi not in found]
     if formed:
-        tri = v[np.array([s.faces[fi] for fi in formed])]
-        area = 0.5 * np.linalg.norm(cross3(tri[:, 1] - tri[:, 0],
-                                           tri[:, 2] - tri[:, 0]), axis=1)
+        # Without ``normals`` some face is malformed: take the others' alone.
+        normals = (s.normals[formed] if s.normals is not None else
+                   PolyhedralSurface(v, [s.faces[fi] for fi in formed]).normals)
+        area = 0.5 * np.linalg.norm(normals, axis=1)
         for fi, a in zip(formed, area):
             if a <= TOL_GEOM * scale**2:
                 found[fi] = ("degenerate-face",
@@ -225,7 +235,7 @@ def surface_validate(s: PolyhedralSurface) -> ValidityReport:
 
     # Edge-manifold check with orientation: each undirected edge must be
     # traversed exactly once in each direction.
-    runs = _edge_runs(s.faces)
+    runs = s._runs
     for e, on in runs.items():
         if len(on) != 2:
             rep.add("edge-incidence",
@@ -233,29 +243,24 @@ def surface_validate(s: PolyhedralSurface) -> ValidityReport:
         elif on[0][1] == on[1][1]:
             rep.add("orientation", f"edge {e} traversed twice the same way", e)
 
-    n_edges = len(runs)
     used = {i for f in s.faces for i in f}
     if used != set(range(n)):
         rep.add("unused-vertex", f"vertices {sorted(set(range(n)) - used)} unused")
-    euler = n - n_edges + len(s.faces)
+    euler = n - len(runs) + len(s.faces)
     if euler != 2:
         rep.add("euler", f"V - E + F = {euler}, expected 2 (sphere)")
     if not rep.ok:
         return rep
 
-    vol = _signed_volume(v, s.faces)
-    if abs(vol) <= TOL_GEOM * scale**3:
-        rep.add("degenerate-volume", f"signed volume {vol:.3g} is ~zero")
+    if abs(s._volume) <= TOL_GEOM * scale**3:
+        rep.add("degenerate-volume", f"signed volume {s._volume:.3g} is ~zero")
     # Embedding: no edge properly crosses a face.  Edge end p is on side
     # O[a, b, c, p] = ((b - a) x (c - a)) . (p - a) of face abc, which is 0
     # if p is a vertex of abc, so pairs that share a vertex never cross.
     # Contacts at a shared vertex and coplanar overlaps are not tested.
     edges = np.array(s.edges)
     faces = np.array(s.faces)
-    centred = v - v.mean(axis=0)
-    tri = centred[faces]
-    normals = cross3(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
-    side = centred @ normals.T                              # (n, F)
+    side = (v - v.mean(axis=0)) @ s.normals.T               # (n, F)
     side -= side[faces[:, 0], np.arange(len(faces))]
     rims = faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)      # ab, bc, ca
     ab, bc, ca = (orientations(v, edges, rims)
@@ -316,7 +321,7 @@ def proper_crossings(sp, sq, ab, bc, ca, tol) -> np.ndarray:
 def volume(s: PolyhedralSurface) -> float:
     """Signed volume by the divergence theorem; positive for outward faces."""
     s.require_valid()
-    return _signed_volume(s.vertices, s.faces)
+    return s._volume
 
 
 def _hull_excess(hull: ConvexHull, points) -> np.ndarray:

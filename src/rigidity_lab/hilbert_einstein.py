@@ -1,6 +1,6 @@
-"""Metric-side quantities of a triangulation: the admissible length domain,
-total angles and curvatures at interior edges, the discrete Hilbert-Einstein
-functional, and first-order identity checks (Schlafli residual, gradient).
+"""Metric-side quantities of a triangulation: total angles and curvatures
+at interior edges, the discrete Hilbert-Einstein functional, and first-order
+identity checks (Schlafli residual, gradient).
 
 Boundary edge lengths are always the Euclidean ones from the surface
 coordinates; only interior edge lengths vary.  Every tetrahedron's edge
@@ -65,16 +65,6 @@ def tet_edge_table(t: Triangulation, l: EdgeLengthAssignment):
                        for i, j in EDGE_ORDER] for tet in t.tetrahedra],
                      dtype=int).reshape(-1, 6)
     return np.concatenate([l.interior, l.boundary])[index], index
-
-
-def in_domain(t: Triangulation, l: EdgeLengthAssignment) -> bool:
-    """True iff every tetra, with interior lengths substituted, stays a
-    non-degenerate Euclidean tetrahedron."""
-    t.require_valid()
-    if np.any(l.interior <= 0) or np.any(l.boundary <= 0):
-        return False
-    _, _, valid = dihedral_kernel(tet_edge_table(t, l)[0])
-    return bool(valid.all())
 
 
 def _round_sig(x: float, sig: int) -> float:

@@ -96,10 +96,6 @@ def tet_volumes(pts) -> np.ndarray:
         return np.linalg.det(p[..., 1:, :] - p[..., :1, :]) / 6.0
 
 
-def tet_volume(pts) -> float:
-    return float(tet_volumes(pts))
-
-
 def _canon_oriented(tri):
     """Rotate an oriented triple so the smallest index comes first."""
     k = tri.index(min(tri))
@@ -183,7 +179,7 @@ def tet_admissible(s: PolyhedralSurface, tets):
     idx = np.asarray(tets, dtype=int).reshape(-1, 4)
     v = s.vertices
     n = len(v)
-    tol = 6.0 * geom.TOL_GEOM * geom.coord_scale(v)**3
+    tol = 6.0 * geom.TOL_GEOM * s.scale**3
     rank = np.arange(n)
     pairs = np.indices((n, n)).reshape(2, -1).T                # every (i, j)
     o = geom.orientations(v, pairs, pairs).reshape(n, n, n, n)
@@ -301,15 +297,25 @@ def fan_triangulation(s: PolyhedralSurface, apex: int = 0) -> Triangulation:
     return Triangulation(s, tets)
 
 
+def _fan_tiles(fan: Triangulation) -> bool:
+    """``tri_validate(fan).ok`` for a fan of a valid surface: its boundary
+    chain is the surface's exactly when every cone's volume exceeds
+    TOL_GEOM * scale**3, i.e. the apex lies strictly on the inner side of
+    each face it is not on."""
+    cones = tet_volumes(fan.points[np.array(fan.tetrahedra)])
+    return bool(np.all(cones > geom.TOL_GEOM * fan.surface.scale**3))
+
+
 def find_decomposition(s: PolyhedralSurface, budget: int = 200_000,
                        max_vertices: int = 16):
     """Exhaustive search for a triangulation without added vertices.
 
-    The fan from vertex 0 is tried first.  Otherwise one ``tet_admissible``
-    call filters all 4-subsets of the vertices at once, and a backtracking
-    search fills the surface's front with admissible candidates.  Overlaps
-    are not pruned: when the front empties, ``tri_validate``'s boundary
-    chain accepts the fill only if the tetrahedra tile the surface.
+    The fan from vertex 0 is taken when it tiles the surface.  Otherwise
+    one ``tet_admissible`` call filters all 4-subsets of the vertices at
+    once, and a backtracking search fills the surface's front with
+    admissible candidates.  Overlaps are not pruned: when the front
+    empties, ``tri_validate``'s boundary chain accepts the fill only if the
+    tetrahedra tile the surface.
 
     Returns a validated Triangulation, or NonDecomposable when the candidate
     space is exhausted, or BudgetExceeded when the node budget runs out.
@@ -319,19 +325,17 @@ def find_decomposition(s: PolyhedralSurface, budget: int = 200_000,
     if n > max_vertices:
         raise TooManyVertices(f"{n} vertices exceeds the desk-scale limit {max_vertices}")
 
-    # Priming: the fan from vertex 0 is admissible for convex surfaces.
+    # Priming: the fan from vertex 0 tiles convex surfaces.
     fan = fan_triangulation(s, 0)
-    if fan.validate().ok:
+    if _fan_tiles(fan):
         return fan
 
-    pts = s.vertices
     subsets = list(combinations(range(n), 4))
     admissible = tet_admissible(s, subsets)
     candidates = [tet for tet, ok in zip(subsets, admissible) if ok]
     n_candidates = len(candidates)
 
-    cand_pts = pts[np.array(candidates, dtype=int).reshape(-1, 4)]
-    signed = tet_volumes(cand_pts)
+    signed = tet_volumes(s.vertices[np.array(candidates, dtype=int).reshape(-1, 4)])
     volumes = np.abs(signed)
     cand_faces = [outward_faces(tet, vol > 0)
                   for tet, vol in zip(candidates, signed)]

@@ -4,7 +4,25 @@ import numpy as np
 import pytest
 from scipy.spatial import ConvexHull
 
+from rigidity_lab.cayley_menger import dihedral_kernel
 from rigidity_lab.geom import PolyhedralSurface
+from rigidity_lab.hilbert_einstein import tet_edge_table
+from rigidity_lab.triangulation import tet_volumes
+
+
+def tet_volume(pts) -> float:
+    """Signed volume of one tetrahedron's four corners (4, 3)."""
+    return float(tet_volumes(pts))
+
+
+def in_domain(t, l) -> bool:
+    """True iff every tetrahedron of ``t``, with the lengths ``l``
+    substituted, stays a non-degenerate Euclidean tetrahedron."""
+    t.require_valid()
+    if np.any(l.interior <= 0) or np.any(l.boundary <= 0):
+        return False
+    _, _, valid = dihedral_kernel(tet_edge_table(t, l)[0])
+    return bool(valid.all())
 
 
 def build_star_surface(seed: int, n: int) -> PolyhedralSurface:

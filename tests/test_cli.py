@@ -319,6 +319,8 @@ _TETRA = {"schema": "rigidity-lab/1",
     {"labels": {" 2 ": "apex"}},
     {"labels": {"-0": "apex"}},
     {"labels": {"+1": "apex"}},
+    {"labels": {"3": {"x": [1, 2]}}},
+    {"labels": {"3": None}},
     {"faces": [1, 2, 3]},
     {"faces": [[0, 2, 1], [0, 1, 3], [0, 3, 2], [1, 2, True]]},
     {"triangulation": [0, 1, 2, 3]},
@@ -327,6 +329,7 @@ _TETRA = {"schema": "rigidity-lab/1",
 ], ids=["string-coordinate", "nan-coordinate", "huge-coordinate",
         "label-key", "fractional-label-key", "leading-zero-label-key",
         "padded-label-key", "negative-zero-label-key", "plus-label-key",
+        "object-label-value", "null-label-value",
         "flat-faces", "boolean-index",
         "flat-triangulation", "short-point", "points-without-triangulation"])
 def test_analyze_malformed_document_is_parse_error(tmp_path, capsys, change):

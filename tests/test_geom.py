@@ -291,3 +291,33 @@ def test_verdicts_invariant_under_translation_and_scaling(shift, scale):
         assert _placement_signature(moved, triangulation) == signature
     assert [sig[1] for sig in _SIGNATURES] == (
         ["Triangulation"] * 3 + ["NonDecomposable", "Triangulation"])
+
+
+# Far from the origin, a sum of determinants of raw coordinates loses the
+# volume to cancellation; the centred face normals keep it.
+
+def test_flat_surface_far_from_the_origin_has_degenerate_volume():
+    square = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]], float)
+    s = PolyhedralSurface(square + [1e6, 7e5, 1.3e6],
+                          [(0, 1, 2), (1, 3, 2), (0, 1, 3), (0, 2, 3)])
+    assert [v.tag for v in surface_validate(s).violations] == [
+        "degenerate-volume"]
+
+
+def test_volume_far_from_the_origin():
+    o = gen.octahedron()
+    assert volume(PolyhedralSurface(o.vertices + 1e8, o.faces)) == (
+        pytest.approx(4.0 / 3.0, abs=1e-12))
+
+
+def test_inward_flat_octahedron_far_from_the_origin_is_turned_outward():
+    o = gen.octahedron()
+    s = PolyhedralSurface(o.vertices * [1, 1, 0.01]
+                          + [1e8, 5e7, 1e8 * 18 / 7],
+                          [(a, c, b) for a, b, c in o.faces])
+    assert s.faces == o.faces
+    assert volume(s) > 0
+    report = analyze_surface(s)
+    assert report["decomposition"]["kind"] == "triangulation"
+    assert (report["stiffness"]["verdict"], report["deformation"]["verdict"],
+            report["verdict"]) == ("Rigid", "Rigid", "Rigid")

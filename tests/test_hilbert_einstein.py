@@ -3,16 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from conftest import in_domain
 from rigidity_lab import generators as gen
 from rigidity_lab.cayley_menger import TetraLengths, is_valid_tetra
 from rigidity_lab.errors import OutOfDomain
 from rigidity_lab.hilbert_einstein import (
     EdgeLengthAssignment,
-    curvatures,
     euclidean_lengths,
     he_gradient_check,
     he_value,
-    in_domain,
     schlafli_residual,
     total_angles,
 )
@@ -23,7 +22,7 @@ def test_euclidean_curvature_vanishes():
               gen.cube_flat_triangulation(),
               gen.octahedron_with_centroid_triangulation()):
         lengths = euclidean_lengths(t)
-        kappa = curvatures(total_angles(t, lengths))
+        kappa = total_angles(t, lengths).kappa
         assert float(np.max(np.abs(kappa))) <= 1e-9
 
 

@@ -33,6 +33,7 @@ import pytest
 from scipy.optimize import linprog
 from scipy.spatial import ConvexHull
 
+from conftest import in_domain, tet_volume
 from rigidity_lab import deformation
 from rigidity_lab import generators as gen
 from rigidity_lab import hilbert_einstein as he
@@ -57,10 +58,10 @@ from rigidity_lab.stiffness import (
 )
 from rigidity_lab.triangulation import (
     Triangulation,
+    _fan_tiles,
     fan_triangulation,
     find_decomposition,
     tet_admissible,
-    tet_volume,
     tet_volumes,
     tri_validate,
     winding_numbers,
@@ -602,6 +603,41 @@ def test_chain_certificate_matches_pairwise_oracle():
     assert pairwise_tri_ok(t) and not tri_validate(t).ok
 
 
+def _fan_tiling_surfaces(star_surface):
+    """Valid surfaces: Schonhardt and T-polyhedron twists, T-polyhedron
+    shifts, pushed pairs, seeded star surfaces of 5-16 vertices and sphere
+    hulls of 6-48 vertices, then moved and scaled copies of every third."""
+    rng = np.random.default_rng(23)
+    surfaces = [gen.schonhardt(gen.SchonhardtParams(theta, 1.0, 2.0))
+                for theta in np.linspace(0, math.pi / 3, 12, endpoint=False)]
+    surfaces += [_tpoly(0.1 * k) for k in range(11)]
+    surfaces += [gen.t_polyhedron(gen.TPolyParams(
+        gen.SchonhardtParams(hull, 1.0, 2.0),
+        gen.SchonhardtParams(ext, 2.5, 4.0), vertical_shift=0.7))[0]
+        for hull, ext in ((0.0, 0.0), (0.5, 0.25), (1.0, 0.5), (0.75, 0.75))]
+    for depth in (None, 0.2, 0.6, 1.0, 1.4):
+        surfaces += gen.pushed_vertex_pair(depth)
+    surfaces += [star_surface(seed, n) for n in range(5, 17) for seed in (0, 1)]
+    surfaces += [PolyhedralSurface(p, ConvexHull(p).simplices)
+                 for p in (_sphere_points(rng, n) for n in (6, 9, 16, 32, 48))]
+    surfaces += [moved for s in surfaces[::3]
+                 for moved, _ in list(_similar_copies(s, rng))[1:]]
+    return [s for s in surfaces if s.validate().ok]
+
+
+def test_fan_volume_test_matches_tri_validate(star_surface):
+    # find_decomposition takes the fan from vertex 0 on the sign test of its
+    # cone volumes in place of tri_validate; here every apex is a fan's.
+    verdicts = []
+    for s in _fan_tiling_surfaces(star_surface):
+        for apex in range(len(s.vertices)):
+            fan = fan_triangulation(s, apex)
+            ok = tri_validate(fan).ok
+            assert _fan_tiles(fan) == ok, (s.vertices, s.faces, apex)
+            verdicts.append(ok)
+    assert len(verdicts) > 1000 and 0.1 < np.mean(verdicts) < 0.9
+
+
 # -- decomposition candidate filter ---------------------------------------
 
 def _tpoly(shift):
@@ -865,7 +901,7 @@ def test_in_domain_matches_scalar_validity(criterion10_suite):
     verdicts = []
     for t in criterion10_suite + _seeded_hull_fans():
         for lengths in _length_cases(t, rng):
-            ok = he.in_domain(t, lengths)
+            ok = in_domain(t, lengths)
             assert ok == scalar_in_domain(t, lengths), t.tetrahedra
             verdicts.append(ok)
     assert 0 < sum(verdicts) < len(verdicts)
@@ -892,7 +928,7 @@ def test_angles_and_schemes_make_no_scalar_angle_call(monkeypatch,
                         lambda *args, attr=attr, **kw: calls.append(attr))
     for t in criterion10_suite[:5] + [_hull24_fan()]:
         lengths = he.euclidean_lengths(t)
-        assert he.in_domain(t, lengths)
+        assert in_domain(t, lengths)
         he.total_angles(t, lengths)
         he.total_angles(t, lengths, round_sig=6)
         for scheme in (DEFAULT_SCHEME, PAPER_SCHEME,

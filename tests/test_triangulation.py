@@ -4,6 +4,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from conftest import tet_volume
 from rigidity_lab import generators as gen
 from rigidity_lab import triangulation
 from rigidity_lab.errors import InvalidTriangulation
@@ -15,7 +16,6 @@ from rigidity_lab.triangulation import (
     fan_triangulation,
     find_decomposition,
     tet_admissible,
-    tet_volume,
     vertex_census,
     winding_numbers,
 )
