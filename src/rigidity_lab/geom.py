@@ -4,9 +4,8 @@ Vertices are plain ``(n, 3)`` float arrays.  Surfaces are sphere-topology
 triangle meshes with outward-oriented faces, oriented once, at construction:
 each face is kept or flipped so that neighbours run their shared edge
 opposite ways, then all are flipped if the signed volume is negative.  The
-constructor computes each face's normal n = (b - a) x (c - a) once, on the
-vertices centred at their mean; the face areas |n| / 2, the signed volume
-sum(a . n) / 6 and validation's plane sides all come from these normals.
+face areas |n| / 2, that volume sum(a . n) / 6 and validation's plane sides
+all read one set of normals n = (b - a) x (c - a), on the centred vertices.
 Weak convexity (every vertex extreme) and flatness (on the hull boundary,
 not extreme) are read off Qhull convex hulls: one of all the vertices, and
 one of the others for each vertex of that hull.
@@ -119,6 +118,13 @@ def _orient_consistently(faces: list[tuple[int, int, int]]):
     return [(a, c, b) if fl else (a, b, c) for (a, b, c), fl in zip(faces, flip)]
 
 
+def _centred_normals(v, faces):
+    """First corners a and normals n = (b - a) x (c - a) of the faces, on
+    the vertices centred at their mean."""
+    tri = (v - v.mean(axis=0))[np.array(faces)]
+    return tri[:, 0], cross3(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
+
+
 class PolyhedralSurface:
     """Closed triangle mesh: vertex coordinates, oriented face triples and
     their centred ``normals`` (None unless every face indexes 3 vertices)."""
@@ -135,9 +141,8 @@ class PolyhedralSurface:
                 oriented = False  # leave as given; surface_validate reports it
             # Validation rejects non-finite and huge coordinates later.
             with np.errstate(over="ignore", invalid="ignore"):
-                tri = (v - v.mean(axis=0))[np.array(faces)]
-                self.normals = cross3(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
-                self._volume = float(np.sum(tri[:, 0] * self.normals)) / 6.0
+                corners, self.normals = _centred_normals(v, faces)
+                self._volume = float(np.sum(corners * self.normals)) / 6.0
             # Swapping a face's last two corners negates its cross3 exactly.
             if oriented and self._volume < 0:
                 faces = [(a, c, b) for a, b, c in faces]
@@ -222,7 +227,7 @@ def surface_validate(s: PolyhedralSurface) -> ValidityReport:
     if formed:
         # Without ``normals`` some face is malformed: take the others' alone.
         normals = (s.normals[formed] if s.normals is not None else
-                   PolyhedralSurface(v, [s.faces[fi] for fi in formed]).normals)
+                   _centred_normals(v, [s.faces[fi] for fi in formed])[1])
         area = 0.5 * np.linalg.norm(normals, axis=1)
         for fi, a in zip(formed, area):
             if a <= TOL_GEOM * scale**2:

@@ -297,25 +297,15 @@ def fan_triangulation(s: PolyhedralSurface, apex: int = 0) -> Triangulation:
     return Triangulation(s, tets)
 
 
-def _fan_tiles(fan: Triangulation) -> bool:
-    """``tri_validate(fan).ok`` for a fan of a valid surface: its boundary
-    chain is the surface's exactly when every cone's volume exceeds
-    TOL_GEOM * scale**3, i.e. the apex lies strictly on the inner side of
-    each face it is not on."""
-    cones = tet_volumes(fan.points[np.array(fan.tetrahedra)])
-    return bool(np.all(cones > geom.TOL_GEOM * fan.surface.scale**3))
-
-
 def find_decomposition(s: PolyhedralSurface, budget: int = 200_000,
                        max_vertices: int = 16):
     """Exhaustive search for a triangulation without added vertices.
 
-    The fan from vertex 0 is taken when it tiles the surface.  Otherwise
-    one ``tet_admissible`` call filters all 4-subsets of the vertices at
-    once, and a backtracking search fills the surface's front with
-    admissible candidates.  Overlaps are not pruned: when the front
-    empties, ``tri_validate``'s boundary chain accepts the fill only if the
-    tetrahedra tile the surface.
+    The fan from vertex 0 is tried first.  Otherwise one ``tet_admissible``
+    call filters all 4-subsets of the vertices at once, and a backtracking
+    search fills the surface's front with admissible candidates.  Overlaps
+    are not pruned: when the front empties, ``tri_validate``'s boundary
+    chain accepts the fill only if the tetrahedra tile the surface.
 
     Returns a validated Triangulation, or NonDecomposable when the candidate
     space is exhausted, or BudgetExceeded when the node budget runs out.
@@ -325,9 +315,9 @@ def find_decomposition(s: PolyhedralSurface, budget: int = 200_000,
     if n > max_vertices:
         raise TooManyVertices(f"{n} vertices exceeds the desk-scale limit {max_vertices}")
 
-    # Priming: the fan from vertex 0 tiles convex surfaces.
+    # Priming: the fan from vertex 0 is admissible for convex surfaces.
     fan = fan_triangulation(s, 0)
-    if _fan_tiles(fan):
+    if fan.validate().ok:
         return fan
 
     subsets = list(combinations(range(n), 4))

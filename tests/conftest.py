@@ -17,7 +17,8 @@ def tet_volume(pts) -> float:
 
 def in_domain(t, l) -> bool:
     """True iff every tetrahedron of ``t``, with the lengths ``l``
-    substituted, stays a non-degenerate Euclidean tetrahedron."""
+    substituted, stays a non-degenerate Euclidean tetrahedron: the
+    package's ``dihedral_kernel`` validity flag over ``tet_edge_table``."""
     t.require_valid()
     if np.any(l.interior <= 0) or np.any(l.boundary <= 0):
         return False

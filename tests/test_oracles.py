@@ -58,7 +58,6 @@ from rigidity_lab.stiffness import (
 )
 from rigidity_lab.triangulation import (
     Triangulation,
-    _fan_tiles,
     fan_triangulation,
     find_decomposition,
     tet_admissible,
@@ -601,41 +600,6 @@ def test_chain_certificate_matches_pairwise_oracle():
     t = Triangulation(gen.octahedron(), [(0, 1, 2, 4), (0, 1, 3, 4),
                                          (2, 3, 0, 5), (2, 3, 1, 5)])
     assert pairwise_tri_ok(t) and not tri_validate(t).ok
-
-
-def _fan_tiling_surfaces(star_surface):
-    """Valid surfaces: Schonhardt and T-polyhedron twists, T-polyhedron
-    shifts, pushed pairs, seeded star surfaces of 5-16 vertices and sphere
-    hulls of 6-48 vertices, then moved and scaled copies of every third."""
-    rng = np.random.default_rng(23)
-    surfaces = [gen.schonhardt(gen.SchonhardtParams(theta, 1.0, 2.0))
-                for theta in np.linspace(0, math.pi / 3, 12, endpoint=False)]
-    surfaces += [_tpoly(0.1 * k) for k in range(11)]
-    surfaces += [gen.t_polyhedron(gen.TPolyParams(
-        gen.SchonhardtParams(hull, 1.0, 2.0),
-        gen.SchonhardtParams(ext, 2.5, 4.0), vertical_shift=0.7))[0]
-        for hull, ext in ((0.0, 0.0), (0.5, 0.25), (1.0, 0.5), (0.75, 0.75))]
-    for depth in (None, 0.2, 0.6, 1.0, 1.4):
-        surfaces += gen.pushed_vertex_pair(depth)
-    surfaces += [star_surface(seed, n) for n in range(5, 17) for seed in (0, 1)]
-    surfaces += [PolyhedralSurface(p, ConvexHull(p).simplices)
-                 for p in (_sphere_points(rng, n) for n in (6, 9, 16, 32, 48))]
-    surfaces += [moved for s in surfaces[::3]
-                 for moved, _ in list(_similar_copies(s, rng))[1:]]
-    return [s for s in surfaces if s.validate().ok]
-
-
-def test_fan_volume_test_matches_tri_validate(star_surface):
-    # find_decomposition takes the fan from vertex 0 on the sign test of its
-    # cone volumes in place of tri_validate; here every apex is a fan's.
-    verdicts = []
-    for s in _fan_tiling_surfaces(star_surface):
-        for apex in range(len(s.vertices)):
-            fan = fan_triangulation(s, apex)
-            ok = tri_validate(fan).ok
-            assert _fan_tiles(fan) == ok, (s.vertices, s.faces, apex)
-            verdicts.append(ok)
-    assert len(verdicts) > 1000 and 0.1 < np.mean(verdicts) < 0.9
 
 
 # -- decomposition candidate filter ---------------------------------------
