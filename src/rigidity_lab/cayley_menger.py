@@ -17,6 +17,8 @@ import numpy as np
 from .errors import BadEdgeLabel, DegenerateTetra, NonPositiveLength, TriangleInequalityViolated
 
 EDGE_ORDER = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
+# The same edge slots as pairs of 0-based corners of an index 4-tuple.
+TET_EDGES = tuple((i - 1, j - 1) for i, j in EDGE_ORDER)
 
 # Degeneracy threshold scale for the determinant (which grows like length^6)
 # and for clamping the arccos argument near +-1.
@@ -185,12 +187,11 @@ def dihedral_angle_from_points(p1, p2, p3, p4, edge) -> float:
 # which is -(dN - N dQ / 2Q) / sqrt(2 s_e D) with the N dN terms cancelled
 # by hand, so thin tetrahedra (D -> 0) lose no digits to subtraction.
 
-_PAIRS = tuple((i - 1, j - 1) for i, j in EDGE_ORDER)
-_ROWS = np.array([a for a, b in _PAIRS] + [b for a, b in _PAIRS])
-_COLS = np.array([b for a, b in _PAIRS] + [a for a, b in _PAIRS])
+_ROWS = np.array([a for a, b in TET_EDGES] + [b for a, b in TET_EDGES])
+_COLS = np.array([b for a, b in TET_EDGES] + [a for a, b in TET_EDGES])
 # Slot of the edge opposite each slot: e12-e34, e13-e24, e14-e23.
-_OPPOSITE = np.array([_PAIRS.index(tuple(sorted(set(range(4)) - set(p))))
-                      for p in _PAIRS])
+_OPPOSITE = np.array([TET_EDGES.index(tuple(sorted(set(range(4)) - set(p))))
+                      for p in TET_EDGES])
 
 
 def _minor_tables():
@@ -200,13 +201,13 @@ def _minor_tables():
     rows4, cols4, sign4 = [], [], []
     rows3, cols3, scatter = [], [], []
     for e, f_opp in enumerate(_OPPOSITE):
-        k, l = _PAIRS[f_opp]
+        k, l = TET_EDGES[f_opp]
         r4 = [r for r in range(5) if r != k]
         c4 = [c for c in range(5) if c != l]
         rows4.append(r4)
         cols4.append(c4)
         sign4.append((-1.0) ** (k + l))
-        for f, (a, b) in enumerate(_PAIRS):
+        for f, (a, b) in enumerate(TET_EDGES):
             for p, q in ((a, b), (b, a)):
                 if p == k or q == l:
                     continue  # the entry is deleted with N_e's row or column

@@ -64,9 +64,7 @@ class DegenerateDepth(RigidityLabError):
 
 
 class SelfIntersecting(RigidityLabError):
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
+    pass
 
 
 class NoNontrivialMode(RigidityLabError):

@@ -273,8 +273,7 @@ def t_polyhedron(params: TPolyParams):
     largest = float(np.max(np.abs(vertices)))
     tol = TOL_GEOM * coord_scale(vertices) if largest <= MAX_COORD else 0.0
     if vertices[9, 2] <= vertices[3, 2] + tol:
-        raise SelfIntersecting("inner antiprism pokes through the outer bottom",
-                               witness=("inner-bottom", "outer-bottom"))
+        raise SelfIntersecting("inner antiprism pokes through the outer bottom")
 
     o = list(range(6))       # outer A..F
     i = list(range(6, 12))   # inner A'..F'
@@ -292,8 +291,7 @@ def t_polyhedron(params: TPolyParams):
     surface = PolyhedralSurface(vertices, faces)
     rep = surface.validate()
     if any(v.tag == "self-intersection" for v in rep.violations):
-        raise SelfIntersecting(f"cover recipe produced an invalid surface: {rep}",
-                               witness=tuple(str(v) for v in rep.violations))
+        raise SelfIntersecting(f"cover recipe produced an invalid surface: {rep}")
     surface.require_valid()
     labels = {k: "exterior" for k in o}
     labels.update({k: "hull" for k in i})

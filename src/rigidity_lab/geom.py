@@ -118,21 +118,22 @@ def _orient_consistently(faces: list[tuple[int, int, int]]):
     return [(a, c, b) if fl else (a, b, c) for (a, b, c), fl in zip(faces, flip)]
 
 
-def _centred_normals(v, faces):
-    """First corners a and normals n = (b - a) x (c - a) of the faces, on
-    the vertices centred at their mean."""
-    tri = (v - v.mean(axis=0))[np.array(faces)]
+def _face_normals(c, faces):
+    """First corners a and normals n = (b - a) x (c - a) of the index
+    triples ``faces`` (F, 3) into the centred points ``c``."""
+    tri = c[np.asarray(faces)]
     return tri[:, 0], cross3(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
 
 
 class PolyhedralSurface:
-    """Closed triangle mesh: vertex coordinates, oriented face triples and
-    their centred ``normals`` (None unless every face indexes 3 vertices)."""
+    """Closed triangle mesh: vertex coordinates, oriented face triples, and
+    the ``centred`` vertices and face ``normals`` on them (both None unless
+    every face indexes 3 vertices)."""
 
     def __init__(self, vertices, faces):
         self.vertices = v = np.asarray(vertices, dtype=float)
         faces = [tuple(int(i) for i in f) for f in faces]
-        self.normals = None
+        self.normals = self.centred = None
         if faces and v.shape[1:] == (3,) and all(
                 len(f) == 3 and all(0 <= i < len(v) for i in f) for f in faces):
             try:
@@ -141,7 +142,8 @@ class PolyhedralSurface:
                 oriented = False  # leave as given; surface_validate reports it
             # Validation rejects non-finite and huge coordinates later.
             with np.errstate(over="ignore", invalid="ignore"):
-                corners, self.normals = _centred_normals(v, faces)
+                self.centred = v - v.mean(axis=0)
+                corners, self.normals = _face_normals(self.centred, faces)
                 self._volume = float(np.sum(corners * self.normals)) / 6.0
             # Swapping a face's last two corners negates its cross3 exactly.
             if oriented and self._volume < 0:
@@ -226,8 +228,8 @@ def surface_validate(s: PolyhedralSurface) -> ValidityReport:
     formed = [fi for fi in range(len(s.faces)) if fi not in found]
     if formed:
         # Without ``normals`` some face is malformed: take the others' alone.
-        normals = (s.normals[formed] if s.normals is not None else
-                   _centred_normals(v, [s.faces[fi] for fi in formed])[1])
+        normals = (s.normals[formed] if s.normals is not None else _face_normals(
+            v - v.mean(axis=0), [s.faces[fi] for fi in formed])[1])
         area = 0.5 * np.linalg.norm(normals, axis=1)
         for fi, a in zip(formed, area):
             if a <= TOL_GEOM * scale**2:
@@ -265,7 +267,7 @@ def surface_validate(s: PolyhedralSurface) -> ValidityReport:
     # Contacts at a shared vertex and coplanar overlaps are not tested.
     edges = np.array(s.edges)
     faces = np.array(s.faces)
-    side = (v - v.mean(axis=0)) @ s.normals.T               # (n, F)
+    side = s.centred @ s.normals.T                          # (n, F)
     side -= side[faces[:, 0], np.arange(len(faces))]
     rims = faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)      # ab, bc, ca
     ab, bc, ca = (orientations(v, edges, rims)
@@ -307,6 +309,16 @@ def orientations(v, first, second) -> np.ndarray:
     u, w = c[ends[:, 0]], c[ends[:, 1]]
     lines = np.concatenate([w - u, cross3(u, w)], axis=1)
     return lines[:len(first)] @ lines[len(first):, [3, 4, 5, 0, 1, 2]].T
+
+
+def tet_orientations(points, tets) -> np.ndarray:
+    """Orientations n . (d - a) = det(b - a, c - a, d - a), six times the
+    signed volumes, of the tetrahedra ``tets`` (T, 4) into ``points``: n is
+    abc's face normal, both on the points centred at their mean."""
+    c = points - points.mean(axis=0)
+    tets = np.asarray(tets, dtype=int).reshape(-1, 4)
+    a, n = _face_normals(c, tets[:, :3])
+    return np.sum(n * (c[tets[:, 3]] - a), axis=1)
 
 
 def proper_crossings(sp, sq, ab, bc, ca, tol) -> np.ndarray:

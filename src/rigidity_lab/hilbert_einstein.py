@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cayley_menger import EDGE_ORDER, TetraLengths, dihedral_angle, dihedral_kernel
+from .cayley_menger import (EDGE_ORDER, TET_EDGES, TetraLengths, dihedral_angle,
+                            dihedral_kernel)
 from .errors import OutOfDomain
 from .geom import canonical_edge
 from .triangulation import Triangulation
@@ -61,8 +62,8 @@ def tet_edge_table(t: Triangulation, l: EdgeLengthAssignment):
     ``interior_edges`` followed by ``boundary_edges``, so boundary edge k
     has index ``len(interior_edges) + k``."""
     position = {e: k for k, e in enumerate(t.interior_edges + t.boundary_edges)}
-    index = np.array([[position[canonical_edge(tet[i - 1], tet[j - 1])]
-                       for i, j in EDGE_ORDER] for tet in t.tetrahedra],
+    index = np.array([[position[canonical_edge(tet[i], tet[j])]
+                       for i, j in TET_EDGES] for tet in t.tetrahedra],
                      dtype=int).reshape(-1, 6)
     return np.concatenate([l.interior, l.boundary])[index], index
 

@@ -5,14 +5,14 @@ extended by explicitly added interior points), and the tetrahedra as index
 4-tuples.  Interior edges are the tetra edges that are not surface edges,
 ordered lexicographically; that ordering indexes the stiffness matrix.
 
-``find_decomposition`` is an exhaustive backtracking search over admissible
-candidate tetrahedra (desk scale, <= 16 vertices) that either produces a
-validated triangulation, certifies non-decomposability, or gives up on a
-node budget.  Its candidate filter ``tet_admissible`` is exact: it keeps a
-candidate when no surface edge, face or vertex reaches into it and its
-centroid is inside, reading every crossing and volume sign off one table of
-the orientations of all vertex quadruples, with the crossing predicate of
-``surface_validate``.
+``find_decomposition`` tries the fan from vertex 0, then an exhaustive
+backtracking search over admissible candidate tetrahedra (desk scale, at
+most ``MAX_VERTICES``) that either produces a validated triangulation,
+certifies non-decomposability, or gives up on a node budget.  Its candidate
+filter ``tet_admissible`` is exact: it keeps a candidate when no surface
+edge, face or vertex reaches into it and its centroid is inside, reading
+every crossing and volume sign off one table of the orientations of all
+vertex quadruples, with the crossing predicate of ``surface_validate``.
 """
 
 from __future__ import annotations
@@ -25,10 +25,11 @@ from itertools import combinations
 import numpy as np
 
 from . import geom
+from .cayley_menger import TET_EDGES
 from .errors import InvalidSurface, InvalidTriangulation, TooManyVertices
 from .geom import PolyhedralSurface, ValidityReport, canonical_edge
 
-_TET_EDGES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+MAX_VERTICES = 16
 
 
 @dataclass
@@ -49,7 +50,7 @@ class Triangulation:
         same list."""
         surf = set(self.surface.edges)
         tet_edges = {canonical_edge(t[a], t[b]) for t in self.tetrahedra
-                     for a, b in _TET_EDGES}
+                     for a, b in TET_EDGES}
         return sorted(tet_edges - surf)
 
     @property
@@ -87,15 +88,6 @@ class BudgetExceeded:
     nodes_explored: int
 
 
-def tet_volumes(pts) -> np.ndarray:
-    """Signed volumes of a stack (..., 4, 3) of tetrahedra's corners."""
-    p = np.asarray(pts, dtype=float)
-    # A subnormal coordinate can flush an LU pivot to zero: det then flags a
-    # division by zero and returns 0.0, right to the coordinates' precision.
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        return np.linalg.det(p[..., 1:, :] - p[..., :1, :]) / 6.0
-
-
 def _canon_oriented(tri):
     """Rotate an oriented triple so the smallest index comes first."""
     k = tri.index(min(tri))
@@ -105,10 +97,10 @@ def _canon_oriented(tri):
 def outward_faces(tet, positive: bool):
     """The four faces of a tetrahedron, each wound so its normal points out.
 
-    For (a, b, c, d) with det(b - a, c - a, d - a) > 0 they are (b, c, d),
-    (a, c, b), (a, b, d) and (a, d, c); ``positive`` False means the
-    determinant is negative, and then a and b swap roles.  Each face is
-    rotated so its smallest index comes first.
+    For (a, b, c, d) with a positive ``geom.tet_orientations`` they are
+    (b, c, d), (a, c, b), (a, b, d) and (a, d, c); ``positive`` False means
+    a negative one, and then a and b swap roles.  Each face is rotated so
+    its smallest index comes first.
     """
     a, b, c, d = tet if positive else (tet[1], tet[0], tet[2], tet[3])
     return [_canon_oriented(f) for f in ((b, c, d), (a, c, b), (a, b, d), (a, d, c))]
@@ -203,7 +195,7 @@ def tet_admissible(s: PolyhedralSurface, tets):
 
     a, b, c, d = idx.T
     vol = o[a, b, c, d]
-    tet_edges = idx[:, _TET_EDGES]                            # (C, 6, 2)
+    tet_edges = idx[:, TET_EDGES]                             # (C, 6, 2)
     tet_faces = np.sort(idx, axis=1)[:, _TET_FACES]           # (C, 4, 3), sorted
     ok = ((np.abs(vol) > tol)
           & ~pair_crosses[tet_edges[..., 0], tet_edges[..., 1]].any(axis=1)
@@ -226,8 +218,9 @@ def tri_validate(t: Triangulation) -> ValidityReport:
     """Check all triangulation invariants; violations become report entries.
 
     Once the surface, the point array and every tetrahedron's indices and
-    volume pass, one boundary-chain certificate stands in for any pairwise
-    test.  Every tetrahedron, oriented positively, contributes its four
+    ``geom.tet_orientations`` O (degenerate when |O| <= 6 TOL_GEOM scale**3)
+    pass, one boundary-chain certificate stands in for any pairwise test.
+    Every tetrahedron, oriented by the sign of O, contributes its four
     ``outward_faces``, and these must add up, as signed oriented triangles,
     to exactly the surface's faces; each face where the two chains differ
     is a ``boundary-chain`` entry.  The surface is embedded, so every
@@ -257,17 +250,16 @@ def tri_validate(t: Triangulation) -> ValidityReport:
             rep.add("bad-tet", f"tetra {tet} has bad indices", (ti,))
     if not rep.ok:
         return rep
-    tet_pts = pts[np.array(t.tetrahedra, dtype=int).reshape(-1, 4)]
-    vols = tet_volumes(tet_pts)
-    for ti in np.flatnonzero(np.abs(vols) <= geom.TOL_GEOM * scale**3):
+    signs = geom.tet_orientations(pts, t.tetrahedra)
+    for ti in np.flatnonzero(np.abs(signs) <= 6.0 * geom.TOL_GEOM * scale**3):
         rep.add("degenerate-tet", f"tetra {t.tetrahedra[ti]} has ~zero volume",
                 (int(ti),))
     if not rep.ok:
         return rep
 
     # The chain maps each sorted vertex triple to its signed multiplicity.
-    faces = [(f, 1) for tet, vol in zip(t.tetrahedra, vols)
-             for f in outward_faces(tet, vol > 0)]
+    faces = [(f, 1) for tet, o in zip(t.tetrahedra, signs)
+             for f in outward_faces(tet, o > 0)]
     faces += [(_canon_oriented(f), -1) for f in t.surface.faces]
     chain: dict[tuple, int] = {}
     for (a, b, c), k in faces:
@@ -297,38 +289,34 @@ def fan_triangulation(s: PolyhedralSurface, apex: int = 0) -> Triangulation:
     return Triangulation(s, tets)
 
 
-def find_decomposition(s: PolyhedralSurface, budget: int = 200_000,
-                       max_vertices: int = 16):
+def find_decomposition(s: PolyhedralSurface, budget: int = 200_000):
     """Exhaustive search for a triangulation without added vertices.
 
-    The fan from vertex 0 is tried first.  Otherwise one ``tet_admissible``
-    call filters all 4-subsets of the vertices at once, and a backtracking
-    search fills the surface's front with admissible candidates.  Overlaps
-    are not pruned: when the front empties, ``tri_validate``'s boundary
-    chain accepts the fill only if the tetrahedra tile the surface.
+    The fan from vertex 0 is tried first, at any size; past ``MAX_VERTICES``
+    a surface it does not triangulate raises TooManyVertices.  Otherwise one
+    ``tet_admissible`` call filters all 4-subsets of the vertices, and a
+    backtracking search fills the front with admissible candidates, a
+    facet's options in candidate order.  Overlaps are not pruned: when the
+    front empties, ``tri_validate``'s boundary chain accepts the fill only
+    if the tetrahedra tile the surface.
 
     Returns a validated Triangulation, or NonDecomposable when the candidate
     space is exhausted, or BudgetExceeded when the node budget runs out.
     """
     s.require_valid()
-    n = len(s.vertices)
-    if n > max_vertices:
-        raise TooManyVertices(f"{n} vertices exceeds the desk-scale limit {max_vertices}")
-
     # Priming: the fan from vertex 0 is admissible for convex surfaces.
     fan = fan_triangulation(s, 0)
     if fan.validate().ok:
         return fan
+    n = len(s.vertices)
+    if n > MAX_VERTICES:
+        raise TooManyVertices(f"{n} vertices exceeds the desk-scale limit {MAX_VERTICES}")
 
     subsets = list(combinations(range(n), 4))
-    admissible = tet_admissible(s, subsets)
-    candidates = [tet for tet, ok in zip(subsets, admissible) if ok]
-    n_candidates = len(candidates)
+    candidates = [tet for tet, ok in zip(subsets, tet_admissible(s, subsets)) if ok]
 
-    signed = tet_volumes(s.vertices[np.array(candidates, dtype=int).reshape(-1, 4)])
-    volumes = np.abs(signed)
-    cand_faces = [outward_faces(tet, vol > 0)
-                  for tet, vol in zip(candidates, signed)]
+    cand_faces = [outward_faces(tet, o > 0) for tet, o in
+                  zip(candidates, geom.tet_orientations(s.vertices, candidates))]
     by_triangle: dict[tuple, list[int]] = {}
     for ci, faces in enumerate(cand_faces):
         for f in faces:
@@ -358,11 +346,9 @@ def find_decomposition(s: PolyhedralSurface, budget: int = 200_000,
                 result.append(tri)
                 return "found"
             return None
-        facet = min(front_set)
-        opts = [ci for ci in by_triangle.get(facet, ())
-                if ci not in chosen]
-        opts.sort(key=lambda ci: -volumes[ci])
-        for ci in opts:
+        for ci in by_triangle.get(min(front_set), ()):
+            if ci in chosen:
+                continue
             status = search(place(ci, front_set), chosen + [ci])
             if status in ("found", "budget"):
                 return status
@@ -373,4 +359,4 @@ def find_decomposition(s: PolyhedralSurface, budget: int = 200_000,
         return result[0]
     if status == "budget":
         return BudgetExceeded(nodes_explored=nodes)
-    return NonDecomposable(admissible_candidates=n_candidates, nodes_explored=nodes)
+    return NonDecomposable(admissible_candidates=len(candidates), nodes_explored=nodes)

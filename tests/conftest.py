@@ -7,7 +7,13 @@ from scipy.spatial import ConvexHull
 from rigidity_lab.cayley_menger import dihedral_kernel
 from rigidity_lab.geom import PolyhedralSurface
 from rigidity_lab.hilbert_einstein import tet_edge_table
-from rigidity_lab.triangulation import tet_volumes
+
+
+def tet_volumes(pts) -> np.ndarray:
+    """Signed volumes of a stack (..., 4, 3) of tetrahedra's corners: the
+    LU determinant of the edges from the first corner, over 6."""
+    p = np.asarray(pts, dtype=float)
+    return np.linalg.det(p[..., 1:, :] - p[..., :1, :]) / 6.0
 
 
 def tet_volume(pts) -> float:

@@ -17,6 +17,7 @@ from rigidity_lab.geom import (
     is_weakly_convex,
     orientations,
     surface_validate,
+    tet_orientations,
     volume,
 )
 from rigidity_lab.pipeline import analyze_surface, decompose
@@ -206,6 +207,8 @@ def test_orientations_match_determinants_far_from_the_origin(scale):
     det = np.linalg.det(np.stack([d[i, j], d[i, k], d[i, l]], axis=-2))
     bound = 1e-12 * coord_scale(v)**3
     assert np.max(np.abs(o - det)) <= bound
+    tets = np.array(list(combinations(range(n), 4)))
+    assert np.max(np.abs(tet_orientations(v, tets) - det[tuple(tets.T)])) <= bound
     assert np.max(np.abs(det)) > 1e9 * bound
 
 
@@ -251,18 +254,25 @@ _SOLIDS = [
     (gen.cube_with_flat_vertex(), gen.cube_flat_triangulation),
     (gen.schonhardt(gen.SchonhardtParams(math.pi / 6, 1.0, 2.0)), None),
     (gen.pushed_vertex_pair()[1], gen.pushed_pair_triangulation),
+    # Its front facets have options of equal volume: the search's choice
+    # among them must not depend on where the solid sits.
+    (gen.t_polyhedron(gen.TPolyParams(
+        gen.SchonhardtParams(math.pi / 6, 1.0, 2.0),
+        gen.SchonhardtParams(math.pi / 6, 2.5, 4.0), vertical_shift=0.1))[0], None),
 ]
 
 
 def _placement_signature(s, triangulation):
-    """Validity, the search's outcome kind, the admissible candidates and
-    the analysis verdicts of a solid."""
+    """Validity, the search's outcome (kind, tetrahedra and nodes explored),
+    the admissible candidates and the analysis verdicts of a solid."""
     if not surface_validate(s).ok:
         return (False,)
     subsets = list(combinations(range(len(s.vertices)), 4))
+    outcome = find_decomposition(s)
     t = triangulation(s) if triangulation else None
     report = analyze_surface(s, t=t)
-    return (True, type(find_decomposition(s)).__name__,
+    return (True, type(outcome).__name__, getattr(outcome, "tetrahedra", None),
+            getattr(outcome, "nodes_explored", None),
             tuple(tet_admissible(s, subsets)), report["verdict"],
             report.get("stiffness", {}).get("verdict"),
             report["deformation"]["verdict"])
@@ -290,7 +300,7 @@ def test_verdicts_invariant_under_translation_and_scaling(shift, scale):
                                   s.faces)
         assert _placement_signature(moved, triangulation) == signature
     assert [sig[1] for sig in _SIGNATURES] == (
-        ["Triangulation"] * 3 + ["NonDecomposable", "Triangulation"])
+        ["Triangulation"] * 3 + ["NonDecomposable"] + ["Triangulation"] * 2)
 
 
 # Far from the origin, a sum of determinants of raw coordinates loses the

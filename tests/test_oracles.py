@@ -33,7 +33,7 @@ import pytest
 from scipy.optimize import linprog
 from scipy.spatial import ConvexHull
 
-from conftest import in_domain, tet_volume
+from conftest import in_domain, tet_volume, tet_volumes
 from rigidity_lab import deformation
 from rigidity_lab import generators as gen
 from rigidity_lab import hilbert_einstein as he
@@ -61,7 +61,6 @@ from rigidity_lab.triangulation import (
     fan_triangulation,
     find_decomposition,
     tet_admissible,
-    tet_volumes,
     tri_validate,
     winding_numbers,
 )

@@ -3,12 +3,14 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from scipy.spatial import ConvexHull
 
-from conftest import tet_volume
+from conftest import build_star_surface, tet_volume
 from rigidity_lab import generators as gen
 from rigidity_lab import triangulation
-from rigidity_lab.errors import InvalidTriangulation
+from rigidity_lab.errors import InvalidTriangulation, TooManyVertices
 from rigidity_lab.geom import PolyhedralSurface
+from rigidity_lab.pipeline import analyze_surface
 from rigidity_lab.triangulation import (
     BudgetExceeded,
     NonDecomposable,
@@ -76,6 +78,27 @@ def test_budget_exceeded_outcome():
     outcome = find_decomposition(surface, budget=3)
     assert isinstance(outcome, BudgetExceeded)
     assert outcome.nodes_explored >= 3
+
+
+def test_convex_hull_beyond_the_vertex_limit_takes_its_fan():
+    # The fan is tried before the search's vertex limit, so a convex hull
+    # of any size decomposes and both oracles judge it.
+    rng = np.random.default_rng(0)
+    d = rng.standard_normal((triangulation.MAX_VERTICES + 4, 3))
+    d /= np.linalg.norm(d, axis=1, keepdims=True)
+    s = PolyhedralSurface(d, ConvexHull(d).simplices)
+    outcome = find_decomposition(s)
+    assert outcome.tetrahedra == fan_triangulation(s).tetrahedra
+    report = analyze_surface(s)
+    assert report["decomposition"]["kind"] == "triangulation"
+    assert report["verdict"] == "Rigid" and report["oracles_agree"]
+
+
+def test_surface_beyond_the_vertex_limit_without_a_fan_is_refused():
+    s = build_star_surface(0, triangulation.MAX_VERTICES + 4)
+    assert not fan_triangulation(s).validate().ok
+    with pytest.raises(TooManyVertices, match="exceeds the desk-scale limit 16"):
+        find_decomposition(s)
 
 
 def test_invalid_triangulation_is_rejected():
