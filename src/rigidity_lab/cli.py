@@ -37,7 +37,7 @@ from .errors import (
 from .geom import PolyhedralSurface
 from .pipeline import analyze_surface
 from .stiffness import SCHEMES
-from .triangulation import Triangulation
+from .triangulation import DEFAULT_BUDGET, Triangulation
 
 SCHEMA = "rigidity-lab/1"
 # Most samples one sweep takes; a range and step asking for more are a
@@ -82,10 +82,11 @@ def _is_index_rows(rows, width: int) -> bool:
 
 
 def read_document(text: str):
-    """The ``(surface, triangulation, labels)`` of a polyhedron document;
-    the triangulation, whose point set may extend the surface vertices, is
-    built on that surface.  The last two are None when the document has
-    none.  A malformed document raises ParseError."""
+    """The ``(surface, triangulation)`` of a polyhedron document; the
+    triangulation, whose point set may extend the surface vertices, is built
+    on that surface, and is None when the document has none.  A key the
+    format does not define is not read.  A malformed document raises
+    ParseError."""
     try:
         doc = json.loads(text)
     # ValueError covers JSONDecodeError and an over-long integer literal;
@@ -111,7 +112,6 @@ def read_document(text: str):
         if doc.get("triangulation") is None:
             raise ParseError("points extend a triangulation's point set; "
                              "the document has no triangulation")
-    n_pts = len(points) if points is not None else len(vertices)
     for f in faces:
         if any(not 0 <= i < len(vertices) for i in f):
             raise ParseError(f"face index out of range: {f}")
@@ -120,36 +120,19 @@ def read_document(text: str):
         if not _is_index_rows(tets, 4):
             raise ParseError("triangulation must be an array of "
                              "[i, j, k, l]")
+        n_pts = len(points) if points is not None else len(vertices)
         for t in tets:
             if any(not 0 <= i < n_pts for i in t):
                 raise ParseError(f"tetrahedron index out of range: {t}")
-    labels = doc.get("labels")
-    if labels is not None:
-        if not isinstance(labels, dict):
-            raise ParseError("labels must be an object")
-        try:
-            keys = [int(k) for k in labels]
-        except ValueError as exc:
-            raise ParseError(f"label keys must be integers: {exc}") from exc
-        # int() also takes " 2 ", "02" and "-0", which would merge silently.
-        if any(str(i) != k for i, k in zip(keys, labels)):
-            raise ParseError("label keys must be integers in canonical form")
-        if not all(isinstance(v, str) for v in labels.values()):
-            raise ParseError("label values must be strings")
-        labels = dict(zip(keys, labels.values()))
-        if any(not 0 <= k < n_pts for k in labels):
-            raise ParseError("label index out of range")
     s = PolyhedralSurface(vertices, faces)
     t = None if tets is None else Triangulation(s, tets, points=points)
-    return s, t, labels
+    return s, t
 
 
 def write_document(s: PolyhedralSurface,
-                   triangulation: Triangulation | None = None,
-                   labels: dict | None = None) -> str:
+                   triangulation: Triangulation | None = None) -> str:
     """The polyhedron document of a surface with an optional triangulation
-    (its points are written when they extend the surface vertices) and
-    vertex labels."""
+    (its points are written when they extend the surface vertices)."""
     doc = {"schema": SCHEMA,
            "vertices": [list(map(float, v)) for v in s.vertices],
            "faces": [list(f) for f in s.faces]}
@@ -158,8 +141,6 @@ def write_document(s: PolyhedralSurface,
         if len(triangulation.points) > len(s.vertices):
             doc["points"] = [list(map(float, p))
                              for p in triangulation.points]
-    if labels is not None:
-        doc["labels"] = {str(k): v for k, v in sorted(labels.items())}
     return _json(doc)
 
 
@@ -169,29 +150,29 @@ def write_document(s: PolyhedralSurface,
 
 def _gen_schonhardt(f: dict):
     params = gen.SchonhardtParams(f["theta"], f["r"], f["h"])
-    return gen.schonhardt(params), None, None
+    return gen.schonhardt(params), None
 
 
 def _gen_fixed(triangulation):
     """The builder of a fixed solid, handed over with its triangulation."""
     def build(f: dict):
         t = triangulation()
-        return t.surface, t, None
+        return t.surface, t
     return build
 
 
 def _gen_pushed_pair(f: dict):
     convex, pushed = gen.pushed_vertex_pair(f["depth"])
     s = convex if f["member"] == "convex" else pushed
-    return s, gen.pushed_pair_triangulation(s), None
+    return s, gen.pushed_pair_triangulation(s)
 
 
 def _gen_tpoly(f: dict):
     hull = gen.SchonhardtParams(f["hull-theta"], f["hull-r"], f["hull-h"])
     ext = gen.SchonhardtParams(f["ext-theta"], f["ext-r"], f["ext-h"])
-    surface, labels = gen.t_polyhedron(
+    surface, _ = gen.t_polyhedron(
         gen.TPolyParams(hull, ext, vertical_shift=f["shift"]))
-    return surface, None, labels
+    return surface, None
 
 
 @dataclass(frozen=True)
@@ -210,8 +191,8 @@ class Flag:
 
 # Each generator's builder and the flags it reads, in order.  A builder is
 # called with a dict of exactly these flags, defaults filled in, and returns
-# the surface it built, with its triangulation and vertex labels or None;
-# the numeric flags are the parameters sweep accepts for it.
+# the surface it built and its triangulation or None; the numeric flags are
+# the parameters sweep accepts for it.
 GENERATORS = {
     "schonhardt": (_gen_schonhardt, (
         Flag("theta", math.pi / 6.0, "twist angle in radians"),
@@ -276,7 +257,7 @@ def _own_flags(name: str, args) -> dict:
 
 
 def _polyhedron(args):
-    """The ``(surface, triangulation, labels)`` that ``args.name`` names: a
+    """The ``(surface, triangulation)`` that ``args.name`` names: a
     generator's, built from its flags, or a document's, read from a file or
     from stdin ('-')."""
     name = args.name
@@ -378,7 +359,7 @@ def sweep_row(build, flags: dict, budget: int) -> dict:
     """The evidence keys of the polyhedron ``build(flags)`` makes; a
     generator or validation error becomes the row's ``error`` instead."""
     try:
-        s, t, _ = build(flags)
+        s, t = build(flags)
         s.require_valid()
     except RigidityLabError as exc:
         return {"error": f"{type(exc).__name__}: {exc}"}
@@ -448,7 +429,7 @@ def cmd_generate(args) -> str:
 
 
 def cmd_analyze(args) -> str:
-    s, t, _ = _polyhedron(args)
+    s, t = _polyhedron(args)
     s.require_valid()
     report = analyze_surface(s, t=t, scheme=SCHEMES[args.scheme],
                              tol_eig=args.tol_eig, budget=args.budget)
@@ -460,7 +441,7 @@ def cmd_export(args) -> str:
 
 
 def cmd_decompose(args) -> str:
-    s, _, _ = _polyhedron(args)
+    s = _polyhedron(args)[0]
     _, result = pipeline.decompose(s, budget=args.budget)
     if args.json:
         return _json({"schema": "rigidity-lab/decompose/1", "result": result})
@@ -494,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_search(p):
         """The flags of the commands that run the decomposition search."""
-        p.add_argument("--budget", type=int, default=200000,
+        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                        help="node budget for the decomposition search")
         p.add_argument("--json", action="store_true",
                        help="emit machine-readable JSON")

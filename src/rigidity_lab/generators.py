@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import (BadParams, DegenerateDepth, ImaginaryHeight,
                      RigidityLabError, SelfIntersecting)
-from .geom import MAX_COORD, TOL_GEOM, PolyhedralSurface, coord_scale
+from .geom import TOL_GEOM, PolyhedralSurface, coord_scale, coordinate_violation
 from .triangulation import Triangulation, fan_triangulation
 
 _TOP_ANGLES = (0.0, 2.0 * math.pi / 3.0, 4.0 * math.pi / 3.0)
@@ -141,11 +141,11 @@ def cube_with_flat_vertex() -> PolyhedralSurface:
     return PolyhedralSurface(vertices, faces)
 
 
-def cube_flat_triangulation(s: PolyhedralSurface | None = None) -> Triangulation:
+def cube_flat_triangulation() -> Triangulation:
     """Cone from the face-center vertex (index 8); every other cube vertex
     spans a non-degenerate tetra with it.  Interior edges: the four spokes
     from the center vertex to the bottom corners."""
-    return fan_triangulation(s or cube_with_flat_vertex(), 8)
+    return fan_triangulation(cube_with_flat_vertex(), 8)
 
 
 def octahedron_with_centroid_triangulation() -> Triangulation:
@@ -268,10 +268,10 @@ def t_polyhedron(params: TPolyParams):
     top_z = params.exterior.h / 2.0 - params.vertical_shift
     vertices = np.vstack([schonhardt_vertices(params.exterior),
                           schonhardt_vertices(params.hull, top_z)])
-    # Inner bottom (vertex 9) against the outer bottom (vertex 3).  Beyond
-    # MAX_COORD the scale can overflow; validation rejects those coordinates.
-    largest = float(np.max(np.abs(vertices)))
-    tol = TOL_GEOM * coord_scale(vertices) if largest <= MAX_COORD else 0.0
+    # Inner bottom (vertex 9) against the outer bottom (vertex 3).  Out of
+    # range the scale can overflow; validation rejects those coordinates.
+    tol = (0.0 if coordinate_violation(vertices, "vertex")
+           else TOL_GEOM * coord_scale(vertices))
     if vertices[9, 2] <= vertices[3, 2] + tol:
         raise SelfIntersecting("inner antiprism pokes through the outer bottom")
 

@@ -43,6 +43,24 @@ def coord_scale(points) -> float:
     return float(np.max(np.linalg.norm(points - points.mean(axis=0), axis=-1)))
 
 
+def orientation_tol(scale: float) -> float:
+    """6 TOL_GEOM scale**3, the tolerance of orientations (6 x volumes)."""
+    return 6.0 * TOL_GEOM * scale**3
+
+
+def coordinate_violation(points, name: str):
+    """The ``non-finite`` or else ``coordinate-range`` (|x| > MAX_COORD)
+    ``(tag, detail)`` of the points, or None: then ``coord_scale`` and
+    ``orientation_tol`` of them are finite."""
+    largest = np.max(np.abs(points), initial=0.0)  # NaN if any is
+    if largest <= MAX_COORD:
+        return None
+    if not np.isfinite(largest):
+        return "non-finite", f"{name} coordinates contain NaN/inf"
+    return ("coordinate-range",
+            f"max |coordinate| {largest:.3g} exceeds {MAX_COORD:g}")
+
+
 def canonical_edge(i: int, j: int) -> tuple[int, int]:
     return (i, j) if i < j else (j, i)
 
@@ -207,14 +225,8 @@ def surface_validate(s: PolyhedralSurface) -> ValidityReport:
     if v.ndim != 2 or (v.size and v.shape[1] != 3):
         rep.add("bad-shape", f"vertices must be (n, 3); got {v.shape}")
         return rep
-    if not np.all(np.isfinite(v)):
-        rep.add("non-finite", "vertex coordinates contain NaN/inf")
-        return rep
-
-    largest = float(np.max(np.abs(v), initial=0.0))
-    if largest > MAX_COORD:
-        rep.add("coordinate-range",
-                f"max |coordinate| {largest:.3g} exceeds {MAX_COORD:g}")
+    if bad := coordinate_violation(v, "vertex"):
+        rep.add(*bad)
         return rep
     scale = s.scale
     found = {}  # face position -> (tag, detail)
@@ -273,7 +285,7 @@ def surface_validate(s: PolyhedralSurface) -> ValidityReport:
     ab, bc, ca = (orientations(v, edges, rims)
                   .reshape(len(edges), len(faces), 3).transpose(2, 0, 1))
     cross = proper_crossings(side[edges[:, 0]], side[edges[:, 1]], ab, bc, ca,
-                             6.0 * TOL_GEOM * scale**3)
+                             orientation_tol(scale))
     for ei, fi in zip(*np.nonzero(cross)):
         e = tuple(int(i) for i in edges[ei])
         rep.add("self-intersection", f"edge {e} crosses face {s.faces[fi]}", e)

@@ -21,6 +21,7 @@ from .stiffness import (
     spectrum,
 )
 from .triangulation import (
+    DEFAULT_BUDGET,
     BudgetExceeded,
     NonDecomposable,
     Triangulation,
@@ -36,7 +37,7 @@ def check_budget(budget: int):
 
 
 def decompose(s: PolyhedralSurface, t: Triangulation | None = None,
-              budget: int = 200000):
+              budget: int = DEFAULT_BUDGET):
     """Return ``(outcome, result)``: the supplied triangulation ``t``, or the
     outcome of the decomposition search on ``s`` when ``t`` is None, and its
     decomposition dict.  A negative ``budget`` raises BadParams."""
@@ -60,7 +61,7 @@ def analyze_surface(s: PolyhedralSurface,
                     t: Triangulation | None = None,
                     scheme: ExactScheme | FDScheme = DEFAULT_SCHEME,
                     tol_eig: float | None = None,
-                    budget: int = 200000) -> dict:
+                    budget: int = DEFAULT_BUDGET) -> dict:
     """Run the full pipeline and return the AnalysisReport as a plain dict
     (the machine-readable form; the human rendering is derived from it).
     ``tol_eig`` None means the scheme's own zero cutoff."""

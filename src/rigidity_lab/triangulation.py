@@ -30,6 +30,7 @@ from .errors import InvalidSurface, InvalidTriangulation, TooManyVertices
 from .geom import PolyhedralSurface, ValidityReport, canonical_edge
 
 MAX_VERTICES = 16
+DEFAULT_BUDGET = 200_000  # search nodes, when no budget is given
 
 
 @dataclass
@@ -171,7 +172,7 @@ def tet_admissible(s: PolyhedralSurface, tets):
     idx = np.asarray(tets, dtype=int).reshape(-1, 4)
     v = s.vertices
     n = len(v)
-    tol = 6.0 * geom.TOL_GEOM * s.scale**3
+    tol = geom.orientation_tol(s.scale)
     rank = np.arange(n)
     pairs = np.indices((n, n)).reshape(2, -1).T                # every (i, j)
     o = geom.orientations(v, pairs, pairs).reshape(n, n, n, n)
@@ -217,18 +218,19 @@ def tet_admissible(s: PolyhedralSurface, tets):
 def tri_validate(t: Triangulation) -> ValidityReport:
     """Check all triangulation invariants; violations become report entries.
 
-    Once the surface, the point array and every tetrahedron's indices and
-    ``geom.tet_orientations`` O (degenerate when |O| <= 6 TOL_GEOM scale**3)
-    pass, one boundary-chain certificate stands in for any pairwise test.
-    Every tetrahedron, oriented by the sign of O, contributes its four
-    ``outward_faces``, and these must add up, as signed oriented triangles,
-    to exactly the surface's faces; each face where the two chains differ
-    is a ``boundary-chain`` entry.  The surface is embedded, so every
-    generic point is then covered by as many tetrahedra as the surface
-    winds around it: once inside and never outside.  Hence the interiors
-    are disjoint, the volumes fill the surface, every surface face bounds
-    one tetrahedron, and tetrahedra meet face to face.  O(T) in the number
-    of tetrahedra.
+    Once the surface, the point array (every coordinate finite and within
+    ``geom.MAX_COORD``, the surface vertices first) and every tetrahedron's
+    indices and ``geom.tet_orientations`` O (degenerate when |O| <=
+    ``geom.orientation_tol``) pass, one boundary-chain certificate stands
+    in for any pairwise test.  Every tetrahedron, oriented by the sign of
+    O, contributes its four ``outward_faces``, and these must add up, as
+    signed oriented triangles, to exactly the surface's faces; each face
+    where the two chains differ is a ``boundary-chain`` entry.  The surface
+    is embedded, so every generic point is then covered by as many
+    tetrahedra as the surface winds around it: once inside and never
+    outside.  Hence the interiors are disjoint, the volumes fill the
+    surface, every surface face bounds one tetrahedron, and tetrahedra meet
+    face to face.  O(T) in the number of tetrahedra.
     """
     rep = ValidityReport()
     srep = t.surface.validate()
@@ -236,6 +238,9 @@ def tri_validate(t: Triangulation) -> ValidityReport:
         rep.add("invalid-surface", str(srep))
         return rep
     pts = t.points
+    if bad := geom.coordinate_violation(pts, "point"):
+        rep.add(*bad)
+        return rep
     npts = len(pts)
     scale = geom.coord_scale(pts)
 
@@ -251,7 +256,7 @@ def tri_validate(t: Triangulation) -> ValidityReport:
     if not rep.ok:
         return rep
     signs = geom.tet_orientations(pts, t.tetrahedra)
-    for ti in np.flatnonzero(np.abs(signs) <= 6.0 * geom.TOL_GEOM * scale**3):
+    for ti in np.flatnonzero(np.abs(signs) <= geom.orientation_tol(scale)):
         rep.add("degenerate-tet", f"tetra {t.tetrahedra[ti]} has ~zero volume",
                 (int(ti),))
     if not rep.ok:
@@ -289,7 +294,7 @@ def fan_triangulation(s: PolyhedralSurface, apex: int = 0) -> Triangulation:
     return Triangulation(s, tets)
 
 
-def find_decomposition(s: PolyhedralSurface, budget: int = 200_000):
+def find_decomposition(s: PolyhedralSurface, budget: int = DEFAULT_BUDGET):
     """Exhaustive search for a triangulation without added vertices.
 
     The fan from vertex 0 is tried first, at any size; past ``MAX_VERTICES``

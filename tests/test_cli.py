@@ -31,11 +31,11 @@ def assert_usage_error(capsys, *argv):
 def test_generate_octahedron_document(capsys):
     rc, out, err = run(capsys, "generate", "octahedron")
     assert rc == 0 and err == ""
-    s, t, labels = read_document(out)
+    s, t = read_document(out)
     assert len(s.vertices) == 6
     assert len(s.faces) == 8
     assert len(t.tetrahedra) == 4
-    assert t.surface is s and labels is None
+    assert t.surface is s
 
 
 def test_generate_is_deterministic(capsys):
@@ -46,8 +46,8 @@ def test_generate_is_deterministic(capsys):
 
 @pytest.mark.parametrize("name", sorted(cli.GENERATORS))
 def test_document_roundtrip_is_lossless(capsys, name):
-    # Covers labels (t-poly), added points (octahedron-with-centroid) and
-    # supplied triangulations, and every coordinate to the last bit.
+    # Covers added points (octahedron-with-centroid), supplied
+    # triangulations, and every coordinate to the last bit.
     _, out, _ = run(capsys, "generate", name)
     assert write_document(*read_document(out)) == out
 
@@ -313,23 +313,12 @@ _TETRA = {"schema": "rigidity-lab/1",
     {"vertices": [["a", 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]},
     {"vertices": [[float("nan"), 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]},
     {"vertices": [[10**400, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]},
-    {"labels": {"x": "apex"}},
-    {"labels": {"1.5": "apex"}},
-    {"labels": {"1": "a", "01": "b"}},
-    {"labels": {" 2 ": "apex"}},
-    {"labels": {"-0": "apex"}},
-    {"labels": {"+1": "apex"}},
-    {"labels": {"3": {"x": [1, 2]}}},
-    {"labels": {"3": None}},
     {"faces": [1, 2, 3]},
     {"faces": [[0, 2, 1], [0, 1, 3], [0, 3, 2], [1, 2, True]]},
     {"triangulation": [0, 1, 2, 3]},
     {"points": [[0, 0]]},
     {"points": _TETRA["vertices"] + [[0.25, 0.25, 0.25]]},
 ], ids=["string-coordinate", "nan-coordinate", "huge-coordinate",
-        "label-key", "fractional-label-key", "leading-zero-label-key",
-        "padded-label-key", "negative-zero-label-key", "plus-label-key",
-        "object-label-value", "null-label-value",
         "flat-faces", "boolean-index",
         "flat-triangulation", "short-point", "points-without-triangulation"])
 def test_analyze_malformed_document_is_parse_error(tmp_path, capsys, change):
@@ -346,6 +335,29 @@ def test_well_formed_document_still_analyzes(tmp_path, capsys):
     rc, out, _ = run(capsys, "analyze", str(path))
     assert rc == 0
     assert "validity: ok" in out
+
+
+@pytest.mark.parametrize("labels", [
+    {"3": "apex"}, {"x": None, "01": {"y": [1]}}, "not an object"],
+    ids=["labels", "malformed-labels", "non-object-labels"])
+def test_document_labels_are_not_read(tmp_path, capsys, labels):
+    # Labels are a key the format does not define: no command reads them.
+    outputs = []
+    for doc in (_TETRA, {**_TETRA, "labels": labels}):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        for argv in (["analyze"], ["analyze", "--json"],
+                     ["decompose", "--json"], ["export"]):
+            rc, out, err = run(capsys, argv[0], str(path), *argv[1:])
+            assert (rc, err) == (0, ""), argv
+            outputs.append(out)
+    assert outputs[:4] == outputs[4:]
+
+
+def test_generated_t_poly_has_no_labels(capsys):
+    rc, out, _ = run(capsys, "generate", "t-poly")
+    assert rc == 0
+    assert sorted(json.loads(out)) == ["faces", "schema", "vertices"]
 
 
 def test_export_writes_the_faces_oriented_outward(tmp_path, capsys):
@@ -387,6 +399,24 @@ def test_short_points_is_invalid_triangulation(tmp_path, capsys):
     assert (rc, out) == (2, "")
     assert err.startswith("InvalidTriangulation: ")
     assert "points-mismatch" in err
+
+
+@pytest.mark.parametrize("x", [1e100, 1e120, 1e200])
+def test_huge_extra_point_is_invalid_triangulation(tmp_path, capsys, x):
+    # The octahedron with the extra point (x, 0, 0) and the one tetrahedron
+    # (0, 1, 2, 6) on it: a range error, not a degenerate tetrahedron, an
+    # overflow warning or a traceback.
+    _, out, _ = run(capsys, "generate", "octahedron")
+    doc = json.loads(out)
+    doc["points"] = doc["vertices"] + [[x, 0.0, 0.0]]
+    doc["triangulation"] = [[0, 1, 2, 6]]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    for argv in (["analyze", str(path)], ["analyze", str(path), "--json"]):
+        rc, out, err = run(capsys, *argv)
+        assert (rc, out) == (2, ""), argv
+        assert err.startswith("InvalidTriangulation: ")
+        assert err.count("\n") == 1 and "[coordinate-range]" in err
 
 
 def test_non_conforming_tiling_is_invalid_triangulation(tmp_path, capsys):

@@ -66,38 +66,13 @@ def _rows(width):
     return st.one_of(st.lists(row, max_size=12), _WEIRD)
 
 
-_LABELS = st.one_of(
-    st.dictionaries(st.one_of(st.integers(-1, 9).map(str), st.text(max_size=3),
-                              st.just("1" * 5000)),
-                    st.one_of(st.text(max_size=3), _WEIRD), max_size=4),
-    _WEIRD)
 _KEYS = {"schema": st.one_of(st.text(max_size=3), _WEIRD),
          "vertices": _VERTICES, "faces": _rows(3), "triangulation": _rows(4),
-         "points": _VERTICES, "labels": _LABELS}
+         "points": _VERTICES}
 _MALFORMED_DOC = st.fixed_dictionaries(
     {"schema": st.just(cli.SCHEMA), "vertices": _VERTICES,
      "faces": _rows(3)},
-    optional={k: _KEYS[k] for k in ("triangulation", "points", "labels")})
-
-
-def _index_rows(n, width, max_size):
-    index = st.integers(0, n - 1)
-    return st.lists(st.lists(index, min_size=width, max_size=width),
-                    max_size=max_size)
-
-
-@st.composite
-def _well_formed_doc(draw):
-    """Finite coordinates and indices in range: it parses, and whatever is
-    wrong with it is the geometry's."""
-    n = draw(st.integers(1, 8))
-    doc = {"schema": cli.SCHEMA,
-           "vertices": draw(st.lists(st.lists(_SMALL, min_size=3, max_size=3),
-                                     min_size=n, max_size=n)),
-           "faces": draw(_index_rows(n, 3, 12))}
-    if draw(st.booleans()):
-        doc["triangulation"] = draw(_index_rows(n, 4, 6))
-    return doc
+    optional={k: _KEYS[k] for k in ("triangulation", "points")})
 
 
 def _generated(name):
@@ -109,6 +84,55 @@ def _generated(name):
 # The generated documents of at most eight vertices, to mutate.
 _BASES = [doc for doc in map(_generated, sorted(cli.GENERATORS))
           if len(doc["vertices"]) <= 8]
+
+
+def _index_rows(n, width, max_size):
+    index = st.integers(0, n - 1)
+    return st.lists(st.lists(index, min_size=width, max_size=width),
+                    max_size=max_size)
+
+
+# Finite coordinates of extra triangulation points: small, past MAX_COORD,
+# near the float limit, or subnormal.
+_EXTRA_COORD = st.one_of(
+    _SMALL, st.sampled_from([1e51, -1e100, 1e120, 1e200, -1e308, 5e-324,
+                             -2.2250738585072014e-308]),
+    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def _well_formed_doc(draw):
+    """Finite coordinates and indices in range: it parses, and whatever is
+    wrong with it is the geometry's.  Half of the surfaces are generated
+    ones, so that their triangulation, over up to two extra points, is
+    what the analysis finds wrong."""
+    if draw(st.booleans()):
+        base = draw(st.sampled_from(_BASES))
+        doc = {k: base[k] for k in ("schema", "vertices", "faces")}
+    else:
+        n = draw(st.integers(1, 8))
+        doc = {"schema": cli.SCHEMA,
+               "vertices": draw(st.lists(
+                   st.lists(_SMALL, min_size=3, max_size=3),
+                   min_size=n, max_size=n)),
+               "faces": draw(_index_rows(n, 3, 12))}
+    extra = draw(st.lists(st.lists(_EXTRA_COORD, min_size=3, max_size=3),
+                          max_size=2))
+    if extra or draw(st.booleans()):
+        doc["triangulation"] = draw(_index_rows(len(doc["vertices"])
+                                                + len(extra), 4, 6))
+    if extra:
+        doc["points"] = doc["vertices"] + extra
+    return doc
+
+
+def _with_extra_point(name, x):
+    """Generated document ``name`` with the extra point (x, 0, 0) and one
+    tetrahedron on it."""
+    doc = _generated(name)
+    n = len(doc["vertices"])
+    return {**doc, "points": doc["vertices"] + [[x, 0.0, 0.0]],
+            "triangulation": [[0, 1, 2, n]]}
 
 
 @st.composite
@@ -157,6 +181,8 @@ _TEXT = st.one_of(
 @given(text=_TEXT)
 @example(text="[" * 100_000)  # deeper than the JSON decoder recurses
 @example(text="1" * 5000)  # more digits than int() converts
+@example(text=json.dumps(_with_extra_point("octahedron", 1e120)))
+@example(text=json.dumps(_with_extra_point("octahedron", 1e200)))
 def test_any_document_exits_0_or_2_without_traceback(text):
     for command in ("analyze", "decompose"):
         _check([command, "-", "--budget", "2000"], stdin=text)

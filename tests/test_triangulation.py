@@ -138,6 +138,18 @@ def test_degenerate_tet_is_reported():
     assert any(v.tag == "degenerate-tet" for v in report.violations)
 
 
+@pytest.mark.parametrize("x, tag", [
+    (math.nan, "non-finite"), (math.inf, "non-finite"),
+    (1e51, "coordinate-range"), (1e120, "coordinate-range")])
+def test_out_of_range_extra_point_is_reported(x, tag):
+    # Every point, not only the surface's vertices, is range-checked before
+    # the tolerances read the points' scale.
+    s = gen.octahedron()
+    t = Triangulation(s, [(0, 1, 2, 6)],
+                      points=np.vstack([s.vertices, [x, 0.0, 0.0]]))
+    assert [v.tag for v in t.validate().violations] == [tag]
+
+
 def test_classify_point():
     s = gen.octahedron()
     # Inside and outside.
