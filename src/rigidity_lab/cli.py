@@ -37,7 +37,7 @@ from .errors import (
 from .geom import PolyhedralSurface
 from .pipeline import analyze_surface
 from .stiffness import SCHEMES
-from .triangulation import DEFAULT_BUDGET, Triangulation
+from .triangulation import Triangulation
 
 SCHEMA = "rigidity-lab/1"
 # Most samples one sweep takes; a range and step asking for more are a
@@ -170,9 +170,8 @@ def _gen_pushed_pair(f: dict):
 def _gen_tpoly(f: dict):
     hull = gen.SchonhardtParams(f["hull-theta"], f["hull-r"], f["hull-h"])
     ext = gen.SchonhardtParams(f["ext-theta"], f["ext-r"], f["ext-h"])
-    surface, _ = gen.t_polyhedron(
-        gen.TPolyParams(hull, ext, vertical_shift=f["shift"]))
-    return surface, None
+    return gen.t_polyhedron(
+        gen.TPolyParams(hull, ext, vertical_shift=f["shift"])), None
 
 
 @dataclass(frozen=True)
@@ -355,7 +354,7 @@ def _sweep_samples(lo: float, hi: float, step: float) -> list[float]:
     return [lo + i * step for i in range(int(math.floor(n)) + 1)]
 
 
-def sweep_row(build, flags: dict, budget: int) -> dict:
+def sweep_row(build, flags: dict) -> dict:
     """The evidence keys of the polyhedron ``build(flags)`` makes; a
     generator or validation error becomes the row's ``error`` instead."""
     try:
@@ -363,7 +362,7 @@ def sweep_row(build, flags: dict, budget: int) -> dict:
         s.require_valid()
     except RigidityLabError as exc:
         return {"error": f"{type(exc).__name__}: {exc}"}
-    return pipeline.sweep_evidence(s, t, budget)
+    return pipeline.sweep_evidence(s, t)
 
 
 def cmd_sweep(args) -> str:
@@ -379,10 +378,8 @@ def cmd_sweep(args) -> str:
     flags = _own_flags(args.name, args)
     lo, hi = _parse_range(args.range)
     samples = _sweep_samples(lo, hi, args.step)
-    # Checked before any row, so an empty range or error rows cannot hide it.
-    pipeline.check_budget(args.budget)
     rows = [{"param": args.param, "value": v,
-             **sweep_row(build, {**flags, param: v}, args.budget)}
+             **sweep_row(build, {**flags, param: v})}
             for v in samples]
     out = {"schema": "rigidity-lab/sweep/1",
            "generator": args.name, "param": args.param,
@@ -432,7 +429,7 @@ def cmd_analyze(args) -> str:
     s, t = _polyhedron(args)
     s.require_valid()
     report = analyze_surface(s, t=t, scheme=SCHEMES[args.scheme],
-                             tol_eig=args.tol_eig, budget=args.budget)
+                             tol_eig=args.tol_eig)
     return _json(report) if args.json else _render_analysis(report)
 
 
@@ -442,7 +439,7 @@ def cmd_export(args) -> str:
 
 def cmd_decompose(args) -> str:
     s = _polyhedron(args)[0]
-    _, result = pipeline.decompose(s, budget=args.budget)
+    _, result = pipeline.decompose(s)
     if args.json:
         return _json({"schema": "rigidity-lab/decompose/1", "result": result})
     if result["kind"] == "triangulation":
@@ -474,9 +471,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write output to a file instead of stdout")
 
     def add_search(p):
-        """The flags of the commands that run the decomposition search."""
-        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                       help="node budget for the decomposition search")
+        """The ``--json`` flag of the commands that run the decomposition
+        search."""
         p.add_argument("--json", action="store_true",
                        help="emit machine-readable JSON")
 

@@ -261,9 +261,8 @@ def t_polyhedron(params: TPolyParams):
     cavity whose bottom is not above the outer bottom by more than
     TOL_GEOM * ``coord_scale`` raises SelfIntersecting.
 
-    Returns (surface, labels) where labels maps each vertex index to
-    "hull" (the inner antiprism) or "exterior" (the outer one); the cover
-    ring adds no vertex of its own.
+    Vertices 0-5 are the outer antiprism's and 6-11 the inner one's; the
+    cover ring adds no vertex of its own.
     """
     top_z = params.exterior.h / 2.0 - params.vertical_shift
     vertices = np.vstack([schonhardt_vertices(params.exterior),
@@ -293,6 +292,4 @@ def t_polyhedron(params: TPolyParams):
     if any(v.tag == "self-intersection" for v in rep.violations):
         raise SelfIntersecting(f"cover recipe produced an invalid surface: {rep}")
     surface.require_valid()
-    labels = {k: "exterior" for k in o}
-    labels.update({k: "hull" for k in i})
-    return surface, labels
+    return surface

@@ -1,7 +1,9 @@
 """The analysis pipeline: the one place that runs the stages (validation,
 weak convexity, decomposition, the ``M_T`` spectrum and the deformation
 space) for ``analyze``, ``decompose`` and ``sweep``.  Results are plain
-dicts, because the report dict is the ``--json`` schema.
+dicts, because the report dict is the ``--json`` schema.  The search runs
+at ``triangulation.DEFAULT_BUDGET`` nodes; a ``budget-exceeded``
+decomposition reports the nodes it took.
 """
 
 from __future__ import annotations
@@ -9,7 +11,6 @@ from __future__ import annotations
 import math
 
 from .deformation import deformation_space
-from .errors import BadParams
 from .geom import PolyhedralSurface, is_weakly_convex
 from .stiffness import (
     DEFAULT_SCHEME,
@@ -21,7 +22,6 @@ from .stiffness import (
     spectrum,
 )
 from .triangulation import (
-    DEFAULT_BUDGET,
     BudgetExceeded,
     NonDecomposable,
     Triangulation,
@@ -30,19 +30,11 @@ from .triangulation import (
 )
 
 
-def check_budget(budget: int):
-    """A negative search node ``budget`` raises BadParams."""
-    if budget < 0:
-        raise BadParams(f"budget must be >= 0; got {budget}")
-
-
-def decompose(s: PolyhedralSurface, t: Triangulation | None = None,
-              budget: int = DEFAULT_BUDGET):
+def decompose(s: PolyhedralSurface, t: Triangulation | None = None):
     """Return ``(outcome, result)``: the supplied triangulation ``t``, or the
     outcome of the decomposition search on ``s`` when ``t`` is None, and its
-    decomposition dict.  A negative ``budget`` raises BadParams."""
-    check_budget(budget)
-    outcome = find_decomposition(s, budget=budget) if t is None else t
+    decomposition dict."""
+    outcome = find_decomposition(s) if t is None else t
     if isinstance(outcome, NonDecomposable):
         result = {"kind": "non-decomposable",
                   "admissible_candidates": outcome.admissible_candidates,
@@ -60,8 +52,7 @@ def decompose(s: PolyhedralSurface, t: Triangulation | None = None,
 def analyze_surface(s: PolyhedralSurface,
                     t: Triangulation | None = None,
                     scheme: ExactScheme | FDScheme = DEFAULT_SCHEME,
-                    tol_eig: float | None = None,
-                    budget: int = DEFAULT_BUDGET) -> dict:
+                    tol_eig: float | None = None) -> dict:
     """Run the full pipeline and return the AnalysisReport as a plain dict
     (the machine-readable form; the human rendering is derived from it).
     ``tol_eig`` None means the scheme's own zero cutoff."""
@@ -81,7 +72,7 @@ def analyze_surface(s: PolyhedralSurface,
         "overall": bool(overall),
     }
 
-    outcome, report["decomposition"] = decompose(s, t, budget)
+    outcome, report["decomposition"] = decompose(s, t)
 
     stiff_verdict = None
     if isinstance(outcome, Triangulation):
@@ -127,8 +118,7 @@ def analyze_surface(s: PolyhedralSurface,
     return report
 
 
-def sweep_evidence(s: PolyhedralSurface, t: Triangulation | None,
-                   budget: int) -> dict:
+def sweep_evidence(s: PolyhedralSurface, t: Triangulation | None) -> dict:
     """The keys of one sweep row: the conjecture-evidence triple (weakly
     convex?, decomposable?, flexible?) with the deformation oracle's
     nullity, verdict and smallest nontrivial singular value."""
@@ -136,7 +126,7 @@ def sweep_evidence(s: PolyhedralSurface, t: Triangulation | None,
     mask, wc = is_weakly_convex(s)
     row["weakly_convex"] = bool(wc)
 
-    outcome, _ = decompose(s, t, budget)
+    outcome, _ = decompose(s, t)
     row["decomposable"] = isinstance(outcome, Triangulation)
 
     basis, verdict = deformation_space(s)

@@ -8,7 +8,9 @@ ordered lexicographically; that ordering indexes the stiffness matrix.
 ``find_decomposition`` tries the fan from vertex 0, then an exhaustive
 backtracking search over admissible candidate tetrahedra (desk scale, at
 most ``MAX_VERTICES``) that either produces a validated triangulation,
-certifies non-decomposability, or gives up on a node budget.  Its candidate
+certifies non-decomposability, or gives up on a node budget.  It branches
+on the front facet with the fewest unused options, which decides the
+desk-scale surfaces well inside ``DEFAULT_BUDGET``.  Its candidate
 filter ``tet_admissible`` is exact: it keeps a candidate when no surface
 edge, face or vertex reaches into it and its centroid is inside, reading
 every crossing and volume sign off one table of the orientations of all
@@ -300,13 +302,17 @@ def find_decomposition(s: PolyhedralSurface, budget: int = DEFAULT_BUDGET):
     The fan from vertex 0 is tried first, at any size; past ``MAX_VERTICES``
     a surface it does not triangulate raises TooManyVertices.  Otherwise one
     ``tet_admissible`` call filters all 4-subsets of the vertices, and a
-    backtracking search fills the front with admissible candidates, a
-    facet's options in candidate order.  Overlaps are not pruned: when the
-    front empties, ``tri_validate``'s boundary chain accepts the fill only
-    if the tetrahedra tile the surface.
+    backtracking search fills the front with admissible candidates.  Each
+    node branches on the front facet with the fewest options not yet
+    placed (ties to the smaller facet), in candidate order, and a facet
+    with none ends the branch.  Overlaps are not pruned: when the front
+    empties, ``tri_validate``'s boundary chain accepts the fill only if the
+    tetrahedra tile the surface.
 
-    Returns a validated Triangulation, or NonDecomposable when the candidate
-    space is exhausted, or BudgetExceeded when the node budget runs out.
+    Returns a validated Triangulation (the fan, or the search's fill with
+    its tetrahedra in candidate order), or NonDecomposable when the
+    candidate space is exhausted, or BudgetExceeded when the node budget
+    runs out.
     """
     s.require_valid()
     # Priming: the fan from vertex 0 is admissible for convex surfaces.
@@ -346,14 +352,15 @@ def find_decomposition(s: PolyhedralSurface, budget: int = DEFAULT_BUDGET):
             return "budget"
         nodes += 1
         if not front_set:
-            tri = Triangulation(s, [candidates[ci] for ci in chosen])
+            tri = Triangulation(s, [candidates[ci] for ci in sorted(chosen)])
             if tri.validate().ok:
                 result.append(tri)
                 return "found"
             return None
-        for ci in by_triangle.get(min(front_set), ()):
-            if ci in chosen:
-                continue
+        options = {f: [ci for ci in by_triangle.get(f, ()) if ci not in chosen]
+                   for f in front_set}
+        facet = min(front_set, key=lambda f: (len(options[f]), f))
+        for ci in options[facet]:
             status = search(place(ci, front_set), chosen + [ci])
             if status in ("found", "budget"):
                 return status

@@ -307,7 +307,7 @@ def _m0_suite():
     for depth in (0.5, 1.0, 1.4):
         _, p = gen.pushed_vertex_pair(depth)
         yield gen.pushed_pair_triangulation(p)
-    surface, _ = gen.t_polyhedron(gen.TPolyParams(
+    surface = gen.t_polyhedron(gen.TPolyParams(
         gen.SchonhardtParams(PI / 6, 1.0, 2.0),
         gen.SchonhardtParams(PI / 6, 2.5, 4.0), vertical_shift=0.7))
     outcome = find_decomposition(surface)
@@ -345,12 +345,12 @@ def test_criterion_11_ec1_evidence_harness(tmp_path, capsys):
             assert not (row["weakly_convex"] and row["decomposable"]
                         and row["flexible"])
 
-        naive, _ = gen.t_polyhedron(gen.TPolyParams(
+        naive = gen.t_polyhedron(gen.TPolyParams(
             gen.SchonhardtParams(PI / 6, 1.0, 2.0),
             gen.SchonhardtParams(PI / 6, 2.5, 4.0)))
         assert isinstance(find_decomposition(naive), NonDecomposable)
 
-        shifted, _ = gen.t_polyhedron(gen.TPolyParams(
+        shifted = gen.t_polyhedron(gen.TPolyParams(
             gen.SchonhardtParams(PI / 6, 1.0, 2.0),
             gen.SchonhardtParams(PI / 6, 2.5, 4.0), vertical_shift=0.7))
         _, overall = is_weakly_convex(shifted)

@@ -572,26 +572,6 @@ def test_bad_scheme_flags_are_bad_params(capsys, flags):
     assert err.startswith("BadParams: ")
 
 
-@pytest.mark.parametrize("argv", [
-    ("decompose", "schonhardt"),
-    ("analyze", "octahedron"),
-    ("sweep", "schonhardt", "theta", "0..0.2", "--step", "0.1"),
-], ids=["decompose", "analyze", "sweep"])
-def test_negative_budget_is_bad_params(capsys, argv):
-    rc, out, err = run(capsys, *argv, "--budget", "-1")
-    assert (rc, out, err) == (2, "", "BadParams: budget must be >= 0; got -1\n")
-
-
-@pytest.mark.parametrize("sweep_range,step", [("1..0.5", "0.1"), ("2..2.5", "0.5")],
-                         ids=["empty-range", "error-rows-only"])
-def test_sweep_negative_budget_is_bad_params_without_a_search(capsys, sweep_range, step):
-    # Neither sweep reaches the decomposition search: 1..0.5 has no sample,
-    # and theta 2 and 2.5 fail validation and become error rows.
-    rc, out, err = run(capsys, "sweep", "schonhardt", "theta", sweep_range,
-                       "--step", step, "--budget", "-1")
-    assert (rc, out, err) == (2, "", "BadParams: budget must be >= 0; got -1\n")
-
-
 def test_abstaining_stiffness_oracle_is_no_disagreement(capsys):
     # m = 1 interior vertex: the kernel test does not apply, so the
     # deformation oracle's verdict stands alone.
@@ -643,14 +623,19 @@ def test_finite_difference_step_follows_the_input_size(tmp_path, capsys):
     ("generate", "octahedron", "--json"),
     ("export", "octahedron", "--budget", "10"),
     ("export", "octahedron", "--json"),
+    ("analyze", "octahedron", "--budget", "10"),
+    ("sweep", "schonhardt", "r", "1..2", "--step", "1", "--budget", "10"),
+    ("decompose", "schonhardt", "--budget", "10"),
 ], ids=["generate-theta-pi-frac", "analyze-theta-pi-frac",
         "sweep-theta-pi-frac", "export-theta-pi-frac",
         "decompose-theta-pi-frac", "analyze-eps", "analyze-round-sig",
-        "generate-budget", "generate-json", "export-budget", "export-json"])
+        "generate-budget", "generate-json", "export-budget", "export-json",
+        "analyze-budget", "sweep-budget", "decompose-budget"])
 def test_retired_option_is_a_usage_error(capsys, argv):
     # Each setting has one spelling: --theta in radians, and --scheme names
     # a whole scheme.  generate and export run no search and write one
-    # format.  export --format is test_export_unknown_format's.
+    # format.  The search runs at its fixed node budget.  export --format
+    # is test_export_unknown_format's.
     assert_usage_error(capsys, *argv)
 
 

@@ -93,7 +93,7 @@ def _exact_nullity(s, points) -> int:
     (gen.schonhardt(gen.SchonhardtParams(PI / 6, 1.0, 2.0)),
      _exact_antiprism(1, 2, 1), 7),
     (gen.t_polyhedron(gen.TPolyParams(gen.SchonhardtParams(PI / 6, 1.0, 2.0),
-                                      gen.SchonhardtParams(PI / 6, 2.5, 4.0)))[0],
+                                      gen.SchonhardtParams(PI / 6, 2.5, 4.0))),
      _exact_antiprism(sympy.Rational(5, 2), 4, 2) + _exact_antiprism(1, 2, 2),
      11),
 ], ids=["schonhardt", "t-poly"])

@@ -115,14 +115,12 @@ def test_pushed_pair_shallow_depth_stays_convex():
     assert surface_validate(pushed).ok
 
 
-def test_t_polyhedron_labels_and_validity():
+def test_t_polyhedron_is_a_valid_twelve_vertex_surface():
     params = gen.TPolyParams(gen.SchonhardtParams(PI / 6, 1.0, 2.0),
                              gen.SchonhardtParams(PI / 6, 2.5, 4.0))
-    surface, labels = gen.t_polyhedron(params)
+    surface = gen.t_polyhedron(params)
     assert surface_validate(surface).ok
     assert len(surface.vertices) == 12
-    assert set(labels.values()) == {"hull", "exterior"}
-    assert sorted(labels) == list(range(12))
 
 
 def test_t_polyhedron_rejects_poking_cavity():
@@ -140,8 +138,8 @@ def test_t_polyhedron_poke_through_check_follows_the_size():
                              gen.SchonhardtParams(PI / 6, 2.5 * scale,
                                                   4 * scale),
                              vertical_shift=0.7 * scale)
-    surface, _ = gen.t_polyhedron(params)
-    unscaled, _ = gen.t_polyhedron(gen.TPolyParams(
+    surface = gen.t_polyhedron(params)
+    unscaled = gen.t_polyhedron(gen.TPolyParams(
         gen.SchonhardtParams(PI / 6, 1.0, 2.0),
         gen.SchonhardtParams(PI / 6, 2.5, 4.0), vertical_shift=0.7))
     assert surface_validate(surface).ok

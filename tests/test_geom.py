@@ -263,7 +263,7 @@ _SOLIDS = [
     # among them must not depend on where the solid sits.
     (gen.t_polyhedron(gen.TPolyParams(
         gen.SchonhardtParams(math.pi / 6, 1.0, 2.0),
-        gen.SchonhardtParams(math.pi / 6, 2.5, 4.0), vertical_shift=0.1))[0], None),
+        gen.SchonhardtParams(math.pi / 6, 2.5, 4.0), vertical_shift=0.1)), None),
 ]
 
 

@@ -185,7 +185,7 @@ _TEXT = st.one_of(
 @example(text=json.dumps(_with_extra_point("octahedron", 1e200)))
 def test_any_document_exits_0_or_2_without_traceback(text):
     for command in ("analyze", "decompose"):
-        _check([command, "-", "--budget", "2000"], stdin=text)
+        _check([command, "-"], stdin=text)
     _check(["export", "-"], stdin=text)
 
 
@@ -215,8 +215,6 @@ def test_any_float_flag_exits_0_or_2_without_traceback(name, data):
 
 # -- sweep and analyze options --------------------------------------------
 
-_BUDGET = st.one_of(st.integers(-2, 3000).map(str), st.integers().map(str),
-                    st.sampled_from(["1.5", "x", "", "1e3", "-0"]))
 # Mostly values a generator accepts, so that samples get built.
 _SAMPLE_TEXT = st.one_of(st.floats(0, 1.5).map(repr), _FLOAT_TEXT)
 
@@ -249,8 +247,7 @@ def test_any_sweep_exits_0_or_2_without_traceback(data):
         st.sampled_from(_NUMERIC), st.text(max_size=4)))
     span, step = data.draw(_sweep_range())
     # --opt=VALUE, and the range after "--": either may start with "-".
-    argv = ["sweep", name, f"--step={step}",
-            f"--budget={data.draw(_BUDGET)}"]
+    argv = ["sweep", name, f"--step={step}"]
     if data.draw(st.booleans()):
         argv.append("--json")
     _check([*argv, "--", param, span])
@@ -264,8 +261,7 @@ def test_any_analyze_option_exits_0_or_2_without_traceback(data):
     names = st.sampled_from(sorted(SCHEMES))
     scheme = data.draw(st.one_of(names, names, st.text(max_size=6)))
     argv = ["analyze", name, f"--scheme={scheme}",
-            f"--tol-eig={data.draw(_FLOAT_TEXT)}",
-            f"--budget={data.draw(_BUDGET)}"]
+            f"--tol-eig={data.draw(_FLOAT_TEXT)}"]
     if data.draw(st.booleans()):
         argv.append("--json")
     _check(argv)

@@ -537,7 +537,7 @@ def _criterion10_triangulations():
     for depth in (0.5, 1.0, 1.4):
         _, p = gen.pushed_vertex_pair(depth)
         yield gen.pushed_pair_triangulation(p)
-    surface, _ = gen.t_polyhedron(gen.TPolyParams(
+    surface = gen.t_polyhedron(gen.TPolyParams(
         gen.SchonhardtParams(math.pi / 6, 1.0, 2.0),
         gen.SchonhardtParams(math.pi / 6, 2.5, 4.0), vertical_shift=0.7))
     outcome = find_decomposition(surface)
@@ -604,7 +604,7 @@ def test_chain_certificate_matches_pairwise_oracle():
 # -- decomposition candidate filter ---------------------------------------
 
 def _tpoly(shift):
-    surface, _ = gen.t_polyhedron(gen.TPolyParams(
+    surface = gen.t_polyhedron(gen.TPolyParams(
         gen.SchonhardtParams(math.pi / 6, 1.0, 2.0),
         gen.SchonhardtParams(math.pi / 6, 2.5, 4.0), vertical_shift=shift))
     return surface

@@ -57,27 +57,52 @@ def test_find_decomposition_octahedron():
     assert outcome.validate().ok
 
 
+# No candidate fits inside, so the search stops at its first node: the
+# first front facet it looks at has no option.
+_SCHONHARDT_OUTCOME = NonDecomposable(admissible_candidates=0, nodes_explored=1)
+
+
 def test_find_decomposition_schonhardt_critical():
     s = gen.schonhardt(gen.SchonhardtParams(math.pi / 6.0, 1.0, 2.0))
-    outcome = find_decomposition(s)
-    assert isinstance(outcome, NonDecomposable)
-    assert outcome.admissible_candidates == 0
+    assert find_decomposition(s) == _SCHONHARDT_OUTCOME
 
 
 def test_find_decomposition_schonhardt_any_positive_twist():
     # Non-decomposability is not special to pi/6.
     for theta in (0.1, 0.8):
         s = gen.schonhardt(gen.SchonhardtParams(theta, 1.0, 2.0))
-        assert isinstance(find_decomposition(s), NonDecomposable)
+        assert find_decomposition(s) == _SCHONHARDT_OUTCOME
 
 
 def test_budget_exceeded_outcome():
-    surface, _ = gen.t_polyhedron(gen.TPolyParams(
+    surface = gen.t_polyhedron(gen.TPolyParams(
         gen.SchonhardtParams(math.pi / 6, 1.0, 2.0),
         gen.SchonhardtParams(math.pi / 6, 2.5, 4.0), vertical_shift=0.7))
     outcome = find_decomposition(surface, budget=3)
     assert isinstance(outcome, BudgetExceeded)
     assert outcome.nodes_explored >= 3
+
+
+@pytest.mark.parametrize("n", [12, 14, 16])
+def test_search_decides_star_surfaces_at_the_default_budget(n):
+    # Branching on the front facet with the fewest options; the first facet
+    # in lexicographic order ran out of the default budget on several.
+    for seed in range(10):
+        s = build_star_surface(seed, n)
+        outcome = find_decomposition(s)
+        assert isinstance(outcome, Triangulation), (seed, outcome)
+        assert triangulation.tri_validate(outcome).ok
+        # A search result lists its tetrahedra in candidate order.
+        if outcome.tetrahedra != fan_triangulation(s).tetrahedra:
+            assert outcome.tetrahedra == sorted(outcome.tetrahedra)
+
+
+def test_default_t_polyhedron_is_non_decomposable():
+    outcome = find_decomposition(gen.t_polyhedron(gen.TPolyParams(
+        gen.SchonhardtParams(math.pi / 6, 1.0, 2.0),
+        gen.SchonhardtParams(math.pi / 6, 2.5, 4.0))))
+    assert isinstance(outcome, NonDecomposable)
+    assert outcome.admissible_candidates == 84
 
 
 def test_convex_hull_beyond_the_vertex_limit_takes_its_fan():
@@ -199,7 +224,7 @@ def test_tet_admissible_rejects_tetrahedra_that_reach_outside():
     # The probe filter's 46 points all miss the part outside.
     pushed = gen.pushed_vertex_pair(1.4)[1]
     assert not tet_admissible(pushed, [(0, 2, 3, 4), (0, 2, 4, 5)]).any()
-    t_poly, _ = gen.t_polyhedron(gen.TPolyParams(
+    t_poly = gen.t_polyhedron(gen.TPolyParams(
         gen.SchonhardtParams(math.pi / 6, 1.0, 2.0),
         gen.SchonhardtParams(0.0, 2.5, 4.0), vertical_shift=0.7))
     assert not tet_admissible(t_poly, [(3, 6, 7, 11)]).any()
@@ -223,7 +248,7 @@ def test_admitted_tetrahedra_lie_inside_star_surfaces(star_surface):
 
 
 def _tpoly(shift):
-    surface, _ = gen.t_polyhedron(gen.TPolyParams(
+    surface = gen.t_polyhedron(gen.TPolyParams(
         gen.SchonhardtParams(math.pi / 6, 1.0, 2.0),
         gen.SchonhardtParams(math.pi / 6, 2.5, 4.0), vertical_shift=shift))
     return surface
